@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
 
   // The workload is host-side state shared by all ranks; the cached sampler
   // draws each batch exactly once and replays it to every device.
-  auto sampler = ort::make_cached_sampler([&] { return workload.next(); });
+  auto sampler = ort::make_cached_sampler([&] { return workload.next(); }, q * q);
 
   // 2-4. Every device runs this body; collectives keep them in lockstep.
   std::vector<double> losses;

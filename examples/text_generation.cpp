@@ -149,7 +149,7 @@ void run_optimus(const ort::CharCorpus& corpus, int steps, int gen_chars, double
   // Shared batch cache so every rank trains on identical data.
   optimus::util::Rng data_rng(3);
   auto sampler = ort::make_cached_sampler(
-      [&] { return corpus.sample(cfg.batch, cfg.seq_len, data_rng); });
+      [&] { return corpus.sample(cfg.batch, cfg.seq_len, data_rng); }, q * q);
   oc::run_cluster(q * q, [&](oc::Context& ctx) {
     optimus::mesh::Mesh2D mesh(ctx.world);
     optimus::core::OptimusTransformer<float> engine(cfg, mesh);

@@ -119,7 +119,10 @@ cmake --build --preset tsan -j"$(nproc)"
 # The pipelined schedule changes which threads touch the fabric concurrently
 # (async irecvs + deferred waits), so TSan runs the suite under both modes.
 # The fast label includes the q×q×d (depth 2/3) mesh, SUMMA and fault tests,
-# so the 2.5D depth fold runs under both sanitizers as well.
+# so the 2.5D depth fold runs under both sanitizers as well — and the fabric
+# wait-path tests: resident device threads reused across world sizes, a
+# throwing rank, a nested launch, and aborts landing in a peer's spin window
+# (comm_test DeviceThreads.*, fault_test Fault.AbortDuringPeerSpin*).
 OPTIMUS_SUMMA_PIPELINE=0 ctest --test-dir build-tsan -L fast --output-on-failure -j"$(nproc)"
 OPTIMUS_SUMMA_PIPELINE=1 ctest --test-dir build-tsan -L fast --output-on-failure -j"$(nproc)"
 # Force a 4-thread kernel budget so the cooperative GEMM's barrier and

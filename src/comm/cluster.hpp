@@ -1,8 +1,8 @@
 #pragma once
 
-// Launches a simulated cluster: one std::thread per device, each with its own
+// Launches a simulated cluster: one device thread per rank, each with its own
 // DeviceContext (memory/flop accounting), SimClock and CommStats, connected by
-// a shared Fabric.
+// a fresh Fabric.
 //
 //   comm::Cluster cluster(p, topology, machine_params);
 //   comm::Cluster::Report report = cluster.run([&](comm::Context& ctx) {
@@ -10,18 +10,32 @@
 //   });
 //
 // The body runs on every rank. Exceptions thrown by any rank are captured and
-// the first one is rethrown from run() after all threads join (a failed rank
-// would deadlock peers blocked in collectives, so failures in the body should
-// be rare and fatal; tests exercising failure paths use single-rank groups).
+// the first one is rethrown from run() after every rank has finished (a failed
+// rank would deadlock peers blocked in collectives, so failures in the body
+// should be rare and fatal; tests exercising failure paths use single-rank
+// groups or fault plans, whose aborts wake every blocked peer).
+//
+// Device threads are process-wide and persistent: rank r of every launch runs
+// on the same resident thread, which parks between launches (and is pinned to
+// one CPU while a multi-rank world fits the host). Launches from different host threads are serialised, and a launch
+// from inside a rank body throws NestedLaunchError instead of deadlocking on
+// the busy threads.
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/fabric.hpp"
 
 namespace optimus::comm {
+
+/// Thrown by Cluster::run / run_cluster when called from inside a rank body.
+class NestedLaunchError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
 
 /// Everything a device body needs, handed to the user callback.
 struct Context {
@@ -44,6 +58,10 @@ class Cluster {
     std::uint64_t alloc_count = 0;
     CommStats stats;
     UtilBreakdown util;  // where sim_time went: compute/align_wait/transfer/idle
+    // Wall-clock wait outcomes in the fabric (Fabric::wait_stats): waits that
+    // finished while spinning vs. waits that parked. Not deterministic.
+    std::uint64_t fabric_spin_hits = 0;
+    std::uint64_t fabric_parks = 0;
   };
 
   struct Report {

@@ -9,6 +9,7 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
                            CommStats& stats)
     : fabric_(&fabric),
       comm_id_(comm_id),
+      sync_(nullptr),
       group_(std::move(group)),
       rank_(-1),
       clock_(&clock),
@@ -22,6 +23,7 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
     }
   }
   OPT_CHECK(rank_ >= 0, "world rank " << world_rank << " not in communicator group");
+  sync_ = &fabric.sync_group(comm_id_, size());
 }
 
 CollectiveTiming Communicator::begin_collective(std::uint64_t seq, double dt) {
@@ -51,7 +53,7 @@ CollectiveTiming Communicator::begin_async(std::uint64_t seq, double dt) {
   // extension; for pipelined flows it is what serialises back-to-back
   // collectives on one link while row/column links still overlap.
   t.entry_aligned =
-      std::max(fabric_->sync_max(sync_key(seq), size(), t.entry_local), link_busy_until_);
+      std::max(fabric_->sync_max(*sync_, seq, world_rank(), t.entry_local), link_busy_until_);
   t.dt = dt;
   link_busy_until_ = t.entry_aligned + dt;
   return t;
@@ -124,7 +126,7 @@ Communicator Communicator::split(int color, int key) {
   // bytes (real backends amortise communicator construction outside the
   // training loop).
   Fabric::SplitResult r =
-      fabric_->split_sync(sync_key(seq), size(), world_rank(), color, key);
+      fabric_->split_sync(*sync_, seq, world_rank(), color, key);
   return Communicator(*fabric_, r.new_comm_id, std::move(r.group), world_rank(), *clock_,
                       *cost_, *stats_);
 }

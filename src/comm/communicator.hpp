@@ -229,7 +229,6 @@ class Communicator {
     OPT_CHECK(s < (1ull << 24) - (1ull << 16), "collective sequence space exhausted");
     return s;
   }
-  std::uint64_t sync_key(std::uint64_t seq) const { return (comm_id_ << 24) | seq; }
 
   /// Drains local compute into the clock, aligns clocks across the group and
   /// advances by `dt`. Returns the entry timing breakdown.
@@ -278,6 +277,7 @@ class Communicator {
 
   Fabric* fabric_;
   std::uint64_t comm_id_;
+  Fabric::SyncGroup* sync_;  // this communicator's rendezvous state in the fabric
   std::vector<int> group_;  // world ranks
   int rank_;                // my index within group_
   SimClock* clock_;

@@ -1,12 +1,14 @@
 #include "comm/fabric.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <sstream>
 #include <thread>
 
+#include "kernel/thread_pool.hpp"
 #include "obs/flight.hpp"
 #include "util/rng.hpp"
 
@@ -32,17 +34,130 @@ bool draw_hits(std::uint64_t h, double prob) {
   return prob > 0 && static_cast<double>(h >> 11) * 0x1.0p-53 < prob;
 }
 
+// Spin budget of one wait before it parks. A few pause instructions catch a
+// peer that is already mid-step; after that the waiter yields its CPU between
+// checks. A long PAUSE loop is what a hypervisor's pause-loop exiting treats
+// as lock spinning and deschedules the vCPU for — on a 4-vCPU VM a pure-pause
+// spin timed out on nearly every wait, so each one paid the spin *and* the
+// park. Yielding also lets a co-scheduled thread run on an oversubscribed
+// CPU. The budget (~50 µs of yields) covers a peer's tiny collective step, the
+// common case in SUMMA loops, without burning a core through a GEMM-length
+// wait.
+constexpr int kSpinPauses = 16;
+constexpr int kSpinYields = 128;
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Wait primitive
+// ---------------------------------------------------------------------------
+
+void Fabric::WaitWord::notify() {
+  // seq_cst pairs with park(): either the parker sees the new generation, or
+  // this load sees it parked and takes the lock to wake it.
+  gen_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) == 0) return;
+  { std::lock_guard<std::mutex> lock(mu_); }
+  cv_.notify_all();
+}
+
+bool Fabric::WaitWord::spin(std::uint64_t seen) const {
+  for (int i = 0; i < kSpinPauses + kSpinYields; ++i) {
+    if (gen_.load(std::memory_order_acquire) != seen) return true;
+    if (i < kSpinPauses) {
+      kernel::cpu_pause();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  return gen_.load(std::memory_order_acquire) != seen;
+}
+
+void Fabric::WaitWord::park(std::uint64_t seen) {
+  std::unique_lock<std::mutex> lock(mu_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  cv_.wait(lock, [&] { return gen_.load(std::memory_order_seq_cst) != seen; });
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+template <typename Ready>
+void Fabric::await(WaitWord& word, int rank, bool may_spin, Ready&& ready) {
+  bool spun = false, parked = false;
+  for (;;) {
+    const std::uint64_t seen = word.generation();
+    throw_if_aborted();
+    if (ready()) break;
+    if (!parked && may_spin && spin_allowed()) {
+      spun = true;
+      if (word.spin(seen)) continue;
+    }
+    parked = true;
+    word.park(seen);
+  }
+  WaitCounters& c = wait_counters_[rank];
+  if (parked) {
+    c.parks.fetch_add(1, std::memory_order_relaxed);
+  } else if (spun) {
+    c.spin_hits.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+// Rendezvous state of one communicator. At most two consecutive operations
+// of a communicator are ever live: a member can only enter seq+2 after seq+1
+// completed, i.e. after every member arrived at seq+1 and so left seq. Two
+// slots indexed by seq parity therefore suffice, and the first arrival at a
+// slot's new seq resets it.
+struct Fabric::SyncGroup {
+  struct Slot {
+    std::uint64_t seq = ~0ull;  // guarded by mu
+    int arrived = 0;
+    double max_value = 0;
+    // split payload: (color, order_key, world_rank) and per-member results
+    std::vector<std::array<int, 3>> deposits;
+    std::map<int, SplitResult> results;  // world_rank -> result
+    std::atomic<std::uint64_t> done{0};  // seq + 1 once the rendezvous completed
+  };
+
+  explicit SyncGroup(int n) : size(n) {}
+
+  /// Registers the caller's arrival at `seq`; returns the slot.
+  Slot& arrive(std::uint64_t seq) {
+    Slot& s = slots[seq & 1];
+    if (s.seq != seq) {
+      s.seq = seq;
+      s.arrived = 0;
+      s.deposits.clear();
+      s.results.clear();
+    }
+    ++s.arrived;
+    return s;
+  }
+
+  const int size;
+  std::mutex mu;
+  Slot slots[2];
+  WaitWord word;  // bumped when a rendezvous completes
+};
 
 const char* Fabric::current_op() { return t_current_op ? t_current_op : "?"; }
 
 Fabric::OpScope::OpScope(const char* name) : prev_(t_current_op) { t_current_op = name; }
 Fabric::OpScope::~OpScope() { t_current_op = prev_; }
 
-Fabric::Fabric(int world_size) : world_size_(world_size) {
+Fabric::Fabric(int world_size)
+    : world_size_(world_size), spin_capable_(world_size <= kernel::hardware_threads()) {
   OPT_CHECK(world_size >= 1, "world_size " << world_size);
   mailboxes_.reserve(world_size);
   for (int i = 0; i < world_size; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
+  wait_counters_ = std::make_unique<WaitCounters[]>(static_cast<std::size_t>(world_size));
+}
+
+Fabric::~Fabric() = default;
+
+Fabric::WaitStats Fabric::wait_stats(int rank) const {
+  OPT_CHECK(rank >= 0 && rank < world_size_, "wait_stats for rank " << rank);
+  const WaitCounters& c = wait_counters_[rank];
+  return {c.spin_hits.load(std::memory_order_relaxed), c.parks.load(std::memory_order_relaxed)};
 }
 
 void Fabric::set_fault_plan(const FaultPlan& plan) {
@@ -59,14 +174,9 @@ void Fabric::abort(const std::string& reason) {
     failed_.store(true, std::memory_order_release);
   }
   // Wake everyone blocked in recv or in a sync rendezvous so they unwind.
-  for (auto& box : mailboxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    sync_cv_.notify_all();
-  }
+  for (auto& box : mailboxes_) box->word.notify();
+  std::shared_lock<std::shared_mutex> lock(groups_mu_);
+  for (auto& [id, group] : groups_) group->word.notify();
 }
 
 void Fabric::throw_if_aborted() const {
@@ -124,7 +234,7 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
     std::lock_guard<std::mutex> lock(box.mu);
     box.messages.push_back(std::move(msg));
   }
-  box.cv.notify_all();
+  box.word.notify();
 }
 
 void Fabric::maybe_stall(int dst, int src, std::uint64_t tag) {
@@ -164,13 +274,12 @@ double Fabric::recv(int dst, int src, std::uint64_t tag, void* out, std::size_t 
   OPT_CHECK(dst >= 0 && dst < world_size_, "recv at rank " << dst);
   maybe_stall(dst, src, tag);
   Mailbox& box = *mailboxes_[dst];
-  std::unique_lock<std::mutex> lock(box.mu);
-  for (;;) {
-    throw_if_aborted();
-    double ts = 0;
-    if (try_consume_locked(box, lock, dst, src, tag, out, bytes, &ts)) return ts;
-    box.cv.wait(lock);
-  }
+  double ts = 0;
+  await(box.word, dst, /*may_spin=*/true, [&] {
+    std::unique_lock<std::mutex> lock(box.mu);
+    return try_consume_locked(box, lock, dst, src, tag, out, bytes, &ts);
+  });
+  return ts;
 }
 
 Fabric::RecvHandle Fabric::irecv(int dst, int src, std::uint64_t tag, void* out,
@@ -215,73 +324,77 @@ Fabric::SendHandle Fabric::isend(int src, int dst, std::uint64_t tag, const void
   return SendHandle{};
 }
 
-Fabric::SyncSlot& Fabric::slot_locked(std::uint64_t key, int group_size) {
-  SyncSlot& slot = slots_[key];
-  if (slot.expected == 0) {
-    slot.expected = group_size;
-  } else {
-    OPT_CHECK(slot.expected == group_size,
-              "sync key " << key << " used with group sizes " << slot.expected << " and "
-                          << group_size);
+Fabric::SyncGroup& Fabric::sync_group(std::uint64_t comm_id, int group_size) {
+  SyncGroup* g = nullptr;
+  {
+    // Every member of a new communicator looks its group up at once; the
+    // split that created it already inserted it, so this is a shared lookup.
+    std::shared_lock<std::shared_mutex> lock(groups_mu_);
+    const auto it = groups_.find(comm_id);
+    if (it != groups_.end()) g = it->second.get();
   }
-  return slot;
+  if (g == nullptr) {
+    std::lock_guard<std::shared_mutex> lock(groups_mu_);
+    std::unique_ptr<SyncGroup>& slot = groups_[comm_id];
+    if (!slot) slot = std::make_unique<SyncGroup>(group_size);
+    g = slot.get();
+  }
+  OPT_CHECK(g->size == group_size, "communicator " << comm_id << " used with group sizes "
+                                                   << g->size << " and " << group_size);
+  return *g;
 }
 
-void Fabric::release_slot_locked(std::uint64_t key, SyncSlot& slot) {
-  slot.departed += 1;
-  if (slot.departed == slot.expected) slots_.erase(key);
-}
-
-double Fabric::sync_max(std::uint64_t key, int group_size, double value) {
-  std::unique_lock<std::mutex> lock(sync_mu_);
-  throw_if_aborted();
-  SyncSlot& slot = slot_locked(key, group_size);
-  slot.max_value = slot.arrived == 0 ? value : std::max(slot.max_value, value);
-  slot.arrived += 1;
-  if (slot.arrived == slot.expected) {
-    slot.ready = true;
-    sync_cv_.notify_all();
-  } else {
-    sync_cv_.wait(lock, [&] { return slot.ready || aborted(); });
+double Fabric::sync_max(SyncGroup& group, std::uint64_t seq, int world_rank, double value) {
+  SyncGroup::Slot* slot;
+  {
+    std::lock_guard<std::mutex> lock(group.mu);
     throw_if_aborted();
-  }
-  const double result = slot.max_value;
-  release_slot_locked(key, slot);
-  return result;
-}
-
-Fabric::SplitResult Fabric::split_sync(std::uint64_t key, int group_size, int world_rank,
-                                       int color, int order_key) {
-  std::unique_lock<std::mutex> lock(sync_mu_);
-  throw_if_aborted();
-  SyncSlot& slot = slot_locked(key, group_size);
-  slot.deposits.push_back({color, order_key, world_rank});
-  slot.arrived += 1;
-  if (slot.arrived == slot.expected) {
-    // Last arriver partitions the deposits into color groups, orders each by
-    // (key, world_rank) and assigns fresh communicator ids — one id per color,
-    // deterministic by sorting colors.
-    std::sort(slot.deposits.begin(), slot.deposits.end());
-    std::map<int, std::vector<int>> by_color;
-    for (const auto& d : slot.deposits) by_color[d[0]].push_back(d[2]);
-    for (const auto& [c, members] : by_color) {
-      const std::uint64_t id = next_comm_id();
-      for (int member : members) {
-        SplitResult r;
-        r.new_comm_id = id;
-        r.group = members;
-        slot.results[member] = std::move(r);
-      }
+    slot = &group.arrive(seq);
+    slot->max_value = slot->arrived == 1 ? value : std::max(slot->max_value, value);
+    if (slot->arrived == group.size) {
+      slot->done.store(seq + 1, std::memory_order_release);
+      group.word.notify();
+      return slot->max_value;
     }
-    slot.ready = true;
-    sync_cv_.notify_all();
-  } else {
-    sync_cv_.wait(lock, [&] { return slot.ready || aborted(); });
-    throw_if_aborted();
   }
-  SplitResult result = slot.results.at(world_rank);
-  release_slot_locked(key, slot);
-  return result;
+  await(group.word, world_rank, /*may_spin=*/true,
+        [&] { return slot->done.load(std::memory_order_acquire) == seq + 1; });
+  return slot->max_value;
+}
+
+Fabric::SplitResult Fabric::split_sync(SyncGroup& group, std::uint64_t seq, int world_rank,
+                                       int color, int order_key) {
+  SyncGroup::Slot* slot;
+  {
+    std::lock_guard<std::mutex> lock(group.mu);
+    throw_if_aborted();
+    slot = &group.arrive(seq);
+    slot->deposits.push_back({color, order_key, world_rank});
+    if (slot->arrived == group.size) {
+      // Last arriver partitions the deposits into color groups, orders each by
+      // (key, world_rank) and assigns fresh communicator ids — one id per
+      // color, deterministic by sorting colors.
+      std::sort(slot->deposits.begin(), slot->deposits.end());
+      std::map<int, std::vector<int>> by_color;
+      for (const auto& d : slot->deposits) by_color[d[0]].push_back(d[2]);
+      for (const auto& [c, members] : by_color) {
+        const std::uint64_t id = next_comm_id();
+        sync_group(id, static_cast<int>(members.size()));
+        for (int member : members) {
+          SplitResult r;
+          r.new_comm_id = id;
+          r.group = members;
+          slot->results[member] = std::move(r);
+        }
+      }
+      slot->done.store(seq + 1, std::memory_order_release);
+      group.word.notify();
+      return slot->results.at(world_rank);
+    }
+  }
+  await(group.word, world_rank, /*may_spin=*/false,
+        [&] { return slot->done.load(std::memory_order_acquire) == seq + 1; });
+  return slot->results.at(world_rank);
 }
 
 }  // namespace optimus::comm

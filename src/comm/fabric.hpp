@@ -10,12 +10,26 @@
 // backend performs out-of-band (communicator construction, clock agreement in
 // the simulation). These move no modelled bytes:
 //
-//   * sync_max   — all members of a group deposit a double under a unique key;
-//                  everyone receives the maximum. Used to align simulated
-//                  clocks at collective entry.
+//   * sync_max   — all members of a group deposit a double; everyone receives
+//                  the maximum. Used to align simulated clocks at collective
+//                  entry.
 //   * split_sync — MPI_Comm_split-style agreement: members deposit
 //                  (color, key); everyone learns its new group and a fresh
 //                  communicator id.
+//
+// Both rendezvous on per-communicator state (SyncGroup), so a collective on
+// one communicator never wakes the members of another.
+//
+// Waiting. Every blocking point (recv/wait on a mailbox, the sync_max and
+// split_sync rendezvous) uses one primitive, WaitWord: an atomic generation
+// that the waker bumps after publishing its state change, a bounded spin on
+// that word, then a condvar park. Whether a wait may spin depends only on
+// what the fabric can observe: the world fits the host
+// (world_size <= kernel::hardware_threads()) and every rank of the launch is
+// currently running (rank_started/rank_finished). split_sync never spins —
+// it runs once per communicator during set-up, when peers are still being
+// scheduled. Each rank counts its waits that finished while spinning and the
+// ones that parked (wait_stats).
 //
 // Deterministic fault injection: a FaultPlan arms seeded per-message latency
 // spikes (wall-clock sleeps that perturb thread interleavings without touching
@@ -27,7 +41,6 @@
 // or silently diverging. All fault decisions hash (seed, channel, occurrence)
 // so a given plan replays identically across runs.
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -35,8 +48,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/check.hpp"
@@ -77,6 +92,7 @@ struct FaultPlan {
 class Fabric {
  public:
   explicit Fabric(int world_size);
+  ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -133,9 +149,18 @@ class Fabric {
                    double timestamp = 0.0);
   void wait(SendHandle&) {}
 
-  /// Side channel: group-wide max of `value` under `key`. Every member must
-  /// call exactly once per key; keys must be globally unique per operation.
-  double sync_max(std::uint64_t key, int group_size, double value);
+  /// Per-communicator rendezvous state for the side channels. Owned by the
+  /// fabric; Communicator looks its group up once at construction.
+  struct SyncGroup;
+
+  /// The rendezvous state of communicator `comm_id` (created on first use).
+  /// Every member must pass the same `group_size`.
+  SyncGroup& sync_group(std::uint64_t comm_id, int group_size);
+
+  /// Side channel: group-wide max of `value` for the communicator's `seq`-th
+  /// operation. Every member calls exactly once per seq, in seq order (the
+  /// collective contract); `world_rank` is the caller, for wait accounting.
+  double sync_max(SyncGroup& group, std::uint64_t seq, int world_rank, double value);
 
   struct SplitResult {
     std::uint64_t new_comm_id = 0;
@@ -143,8 +168,9 @@ class Fabric {
   };
 
   /// Side channel: collective split. Every member of the parent group calls
-  /// with its world rank, color and ordering key under the same `key`.
-  SplitResult split_sync(std::uint64_t key, int group_size, int world_rank, int color,
+  /// with its world rank, color and ordering key for the same `seq`. Never
+  /// spins (set-up only).
+  SplitResult split_sync(SyncGroup& group, std::uint64_t seq, int world_rank, int color,
                          int order_key);
 
   /// Allocates a globally unique communicator id.
@@ -161,6 +187,22 @@ class Fabric {
   /// subsequent/blocked operations throw FabricAborted. First reason wins.
   void abort(const std::string& reason);
   bool aborted() const { return failed_.load(std::memory_order_acquire); }
+
+  // -- wait policy and accounting -------------------------------------------
+
+  /// Launch bookkeeping (comm::Cluster calls these around each rank body):
+  /// waits spin only while every rank of the world is inside its body.
+  void rank_started() { running_.fetch_add(1, std::memory_order_relaxed); }
+  void rank_finished() { running_.fetch_sub(1, std::memory_order_relaxed); }
+
+  /// Per-rank wait outcomes: waits that completed while spinning, and waits
+  /// that parked on a condvar. Waits satisfied on the first check count as
+  /// neither.
+  struct WaitStats {
+    std::uint64_t spin_hits = 0;
+    std::uint64_t parks = 0;
+  };
+  WaitStats wait_stats(int rank) const;
 
   /// Name of the communicator operation the calling thread is currently
   /// executing ("allreduce", "broadcast", ...); "?" outside any op. Used to
@@ -180,6 +222,28 @@ class Fabric {
   };
 
  private:
+  /// The one wait primitive: wakers publish their state change, then bump
+  /// the generation; waiters snapshot the generation *before* checking their
+  /// condition, so a change that lands after the check always shows as a new
+  /// generation and no wake-up is lost.
+  class WaitWord {
+   public:
+    std::uint64_t generation() const { return gen_.load(std::memory_order_acquire); }
+    /// Bumps the generation and wakes parked waiters (a lock round-trip only
+    /// when someone is parked).
+    void notify();
+    /// Spins up to a fixed budget for the generation to move past `seen`.
+    bool spin(std::uint64_t seen) const;
+    /// Parks until the generation moves past `seen`.
+    void park(std::uint64_t seen);
+
+   private:
+    std::atomic<std::uint64_t> gen_{0};
+    std::atomic<int> parked_{0};
+    std::mutex mu_;
+    std::condition_variable cv_;
+  };
+
   struct Message {
     int src;
     std::uint64_t tag;
@@ -190,24 +254,24 @@ class Fabric {
 
   struct Mailbox {
     std::mutex mu;
-    std::condition_variable cv;
     std::deque<Message> messages;
+    WaitWord word;  // bumped on every delivery
   };
 
-  struct SyncSlot {
-    int expected = 0;
-    int arrived = 0;
-    int departed = 0;
-    bool ready = false;
-    double max_value = 0;
-    // split payload: (color, order_key, world_rank)
-    std::vector<std::array<int, 3>> deposits;
-    std::map<int, SplitResult> results;  // world_rank -> result
-    std::uint64_t assigned_base_id = 0;
+  struct alignas(64) WaitCounters {
+    std::atomic<std::uint64_t> spin_hits{0};
+    std::atomic<std::uint64_t> parks{0};
   };
 
-  SyncSlot& slot_locked(std::uint64_t key, int group_size);
-  void release_slot_locked(std::uint64_t key, SyncSlot& slot);
+  /// Blocks rank `rank` on `word` until `ready()` (called with the caller's
+  /// own locking) returns true; spins first when `may_spin` and the spin
+  /// policy allows. Throws FabricAborted once the fabric is aborted.
+  template <typename Ready>
+  void await(WaitWord& word, int rank, bool may_spin, Ready&& ready);
+
+  bool spin_allowed() const {
+    return spin_capable_ && running_.load(std::memory_order_relaxed) == world_size_;
+  }
 
   /// Draws the straggler stall fault for a receive at `dst` and sleeps if hit.
   void maybe_stall(int dst, int src, std::uint64_t tag);
@@ -226,11 +290,13 @@ class Fabric {
   std::uint64_t fault_draw(int src, int dst, std::uint64_t tag, std::uint64_t salt);
 
   int world_size_;
+  bool spin_capable_;  // world fits the host's hardware threads
+  std::atomic<int> running_{0};
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::unique_ptr<WaitCounters[]> wait_counters_;
 
-  std::mutex sync_mu_;
-  std::condition_variable sync_cv_;
-  std::map<std::uint64_t, SyncSlot> slots_;
+  std::shared_mutex groups_mu_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<SyncGroup>> groups_;
   std::atomic<std::uint64_t> comm_id_counter_{1};
 
   FaultPlan fault_plan_;

@@ -125,6 +125,15 @@ obs::Json metrics_json(const Cluster::Report& report, const MetricsReportOptions
     pj.set("barrier_crossings", pool.barrier_crossings);
     pj.set("parks", pool.parks);
     pj.set("workers_spawned", pool.workers_spawned);
+    // Fabric waits per rank: did they finish while spinning, or park?
+    obs::Json spin_hits = obs::Json::array();
+    obs::Json parks = obs::Json::array();
+    for (const Cluster::RankReport& rr : report.ranks) {
+      spin_hits.push_back(obs::Json(rr.fabric_spin_hits));
+      parks.push_back(obs::Json(rr.fabric_parks));
+    }
+    pj.set("fabric_spin_hits", std::move(spin_hits));
+    pj.set("fabric_parks", std::move(parks));
     doc.set("pool", std::move(pj));
   }
 

@@ -15,11 +15,15 @@
 //     "totals": { "bytes_by_kind": {…}, "max_sim_time_s": …, … },
 //     "pool": { regions, inline_regions, chunks, worker_chunks, worker_share,
 //               aggregate_submit_wait_ms, avg_region_wait_ms,
-//               barrier_crossings, parks, workers_spawned },
+//               barrier_crossings, parks, workers_spawned,
+//               fabric_spin_hits: [per rank], fabric_parks: [per rank] },
 //
 // aggregate_submit_wait_ms sums submitter wait across *concurrent* device
 // threads, so with p simulated devices it can exceed wall time by up to p×;
-// avg_region_wait_ms (aggregate / regions) is the wall-comparable figure. The
+// avg_region_wait_ms (aggregate / regions) is the wall-comparable figure.
+// fabric_spin_hits / fabric_parks count each rank's fabric waits (recv and
+// collective rendezvous) that finished while spinning vs. parked on a condvar
+// (Fabric::wait_stats); like the pool counters they are wall-clock outcomes. The
 // per-rank "utilization" fractions have no such caveat: they partition one
 // rank's simulated timeline (compute + align_wait + transfer + idle ≈
 // sim_time_s), so each fraction is ≤ 1.

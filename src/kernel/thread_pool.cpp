@@ -52,16 +52,6 @@ int env_threads() {
   return value;
 }
 
-inline void cpu_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
 // Spin budget before parking. On a single-core host spinning can never help —
 // the thread we are waiting for needs our core to make progress — so we park
 // immediately; with real parallelism a short spin absorbs the sub-microsecond

@@ -36,6 +36,7 @@
 // when another thread currently owns the pool's region slot — concurrent
 // device threads never block each other on the intra-op pool.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -45,6 +46,17 @@ using index_t = std::int64_t;
 
 /// Cached std::thread::hardware_concurrency() (floor 1).
 int hardware_threads();
+
+/// Spin-wait hint for one iteration of a busy-wait loop.
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
 
 /// Overrides the global intra-op worker budget. 0 restores the default
 /// (env OPTIMUS_KERNEL_THREADS if set, else hardware_concurrency).

@@ -15,12 +15,15 @@
 //
 // All generators are deterministic given their seed.
 
+#include <algorithm>
 #include <array>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "tensor/device_context.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -89,32 +92,48 @@ class SyntheticClsWorkload {
   util::Rng rng_;
 };
 
-/// Wraps a batch source shared by the lock-stepped ranks of a simulated
-/// cluster. Every rank thread calls `sampler(rank)` and observes the identical
-/// batch sequence, while the source is drawn exactly once per position (the
-/// first consumer to reach a position fills the cache; stragglers replay it).
-/// Copies of the returned functor share one cache, so it can be captured by
-/// value into a cluster body. Replaces the hand-rolled static-cache lambdas
-/// the examples used to carry.
+/// Wraps a batch source shared by the `ranks` lock-stepped ranks of a
+/// simulated cluster. Every rank thread calls `sampler(rank)` and observes the
+/// identical batch sequence, while the source is drawn exactly once per
+/// position (the first consumer to reach a position fills the cache;
+/// stragglers replay it). A batch leaves the cache once every rank has read
+/// it, so the cache holds only the positions between the slowest and the
+/// fastest rank. Batches are host-side input, not device state: they are
+/// allocated against the sampler's own DeviceContext, so no rank's memory
+/// accountant sees them, whichever rank draws first. Copies of the returned
+/// functor share one cache, so it can be captured by value into a cluster
+/// body.
 template <typename Source>
-auto make_cached_sampler(Source source) {
+auto make_cached_sampler(Source source, int ranks) {
+  OPT_CHECK(ranks >= 1, "make_cached_sampler needs at least one rank, got " << ranks);
   using Batch = decltype(source());
   struct State {
-    explicit State(Source s) : src(std::move(s)) {}
+    State(Source s, int n) : src(std::move(s)), cursor(static_cast<std::size_t>(n), 0) {}
     std::mutex mu;
     Source src;
-    std::vector<Batch> cache;
+    tensor::DeviceContext host;      // charged for the batches instead of a rank
+    std::deque<Batch> cache;         // positions [first, first + cache.size())
+    std::size_t first = 0;
     std::vector<std::size_t> cursor;  // per-rank read position
   };
-  auto state = std::make_shared<State>(std::move(source));
+  auto state = std::make_shared<State>(std::move(source), ranks);
   return [state](int rank) -> Batch {
     std::lock_guard<std::mutex> lock(state->mu);
-    if (state->cursor.size() <= static_cast<std::size_t>(rank)) {
-      state->cursor.resize(static_cast<std::size_t>(rank) + 1, 0);
-    }
+    OPT_CHECK(rank >= 0 && static_cast<std::size_t>(rank) < state->cursor.size(),
+              "sampler rank " << rank << " out of range");
     const std::size_t i = state->cursor[static_cast<std::size_t>(rank)]++;
-    if (i >= state->cache.size()) state->cache.push_back(state->src());
-    return state->cache[i];
+    if (i - state->first >= state->cache.size()) {
+      tensor::ScopedDevice host(state->host);
+      state->cache.push_back(state->src());
+    }
+    Batch batch = state->cache[i - state->first];
+    const std::size_t slowest =
+        *std::min_element(state->cursor.begin(), state->cursor.end());
+    while (state->first < slowest) {
+      state->cache.pop_front();
+      ++state->first;
+    }
+    return batch;
   };
 }
 

@@ -59,9 +59,14 @@ class ServingSession {
       for (tensor::index_t s = 0; s < sched_.slots(); ++s) {
         if (!active_[static_cast<std::size_t>(s)]) continue;
         const Request* r = sched_.request_in_slot(s);
-        const char* phase = r->fed < r->prompt.size()          ? "prefill_step"
-                            : r->fed < r->forced_size()        ? "replay_step"
-                                                               : "decode_step";
+        // Every step feeds forced[fed]. Only an evicted request re-feeding a
+        // token whose successor is already known does wasted (replay) work;
+        // otherwise the step is prefill while the prompt is being fed, and a
+        // decode once it feeds the newest generated token.
+        const bool replay = r->evictions > 0 && r->fed + 1 < r->forced_size();
+        const char* phase = replay                        ? "replay_step"
+                            : r->fed < r->prompt.size()   ? "prefill_step"
+                                                          : "decode_step";
         step_lanes_.emplace_back(r->id, phase);
       }
     }

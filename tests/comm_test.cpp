@@ -1,19 +1,29 @@
 // Tests for the simulated communication substrate: topology/cost model,
 // fabric point-to-point, every collective on group sizes 1..8 (including
-// non-powers-of-two), communicator split, clock synchronisation and stats.
+// non-powers-of-two), communicator split, clock synchronisation and stats,
+// and the resident device threads that run cluster launches.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 
 #include "comm/cluster.hpp"
 #include "comm/communicator.hpp"
 #include "comm/fabric.hpp"
+#include "comm/obs_report.hpp"
 #include "comm/topology.hpp"
+#include "kernel/thread_pool.hpp"
+#include "testing/watchdog.hpp"
 #include "util/rng.hpp"
 
 namespace oc = optimus::comm;
+namespace ots = optimus::testing;
 
 // ---------------------------------------------------------------------------
 // Topology and cost model
@@ -524,4 +534,176 @@ TEST(Cluster, BarrierSynchronisesClocks) {
   });
   const double t0 = report.ranks[0].sim_time;
   for (const auto& r : report.ranks) EXPECT_DOUBLE_EQ(r.sim_time, t0);
+}
+
+// ---------------------------------------------------------------------------
+// Device threads and the fabric wait path
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct RankOutcome {
+  std::vector<double> data;
+  double sim_time = 0;
+  double comm_time = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// A mix of every wait site: skewed compute before collectives (clock
+/// alignment), world and split-group collectives, an async broadcast and a
+/// user point-to-point ring.
+void mixed_body(oc::Communicator& world, optimus::tensor::DeviceContext& device,
+                RankOutcome& out) {
+  const int rank = world.rank();
+  const int p = world.size();
+  std::vector<double> v(33);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = 0.1 * (rank + 1) + 0.01 * i;
+  const auto n = static_cast<optimus::tensor::index_t>(v.size());
+  device.on_mults(1000ull * (rank + 1));
+  world.all_reduce(v.data(), n);
+  world.broadcast(v.data(), n, p - 1);
+  oc::Communicator half = world.split(rank % 2, rank);
+  device.on_mults(777ull * (p - rank));
+  half.all_reduce(v.data(), n);
+  oc::Request req = world.ibroadcast(v.data(), n, 0);
+  req.wait();
+  if (p > 1) {
+    std::vector<double> in(v.size());
+    world.send((rank + 1) % p, 5, v.data(), n);
+    world.recv((rank + p - 1) % p, 5, in.data(), n);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] += in[i];
+  }
+  world.barrier();
+  out.data = v;
+}
+
+/// What Cluster::run computed before device threads were pooled: a fresh
+/// std::thread per rank on a fresh fabric.
+std::vector<RankOutcome> fresh_thread_run(int p) {
+  oc::Topology topo(p, /*gpus_per_node=*/4, oc::Arrangement::kBunched, /*mesh_q=*/0);
+  oc::CostModel cost(topo, oc::MachineParams{});
+  oc::Fabric fabric(p);
+  const std::uint64_t world_id = fabric.next_comm_id();
+  std::vector<int> group(p);
+  std::iota(group.begin(), group.end(), 0);
+  std::vector<RankOutcome> out(p);
+  std::vector<std::unique_ptr<optimus::tensor::DeviceContext>> devices;
+  std::vector<std::unique_ptr<oc::SimClock>> clocks;
+  std::vector<oc::CommStats> stats(p);
+  for (int r = 0; r < p; ++r) {
+    devices.push_back(std::make_unique<optimus::tensor::DeviceContext>());
+    clocks.push_back(std::make_unique<oc::SimClock>());
+  }
+  std::vector<std::thread> threads;
+  for (int r = 0; r < p; ++r) {
+    threads.emplace_back([&, r] {
+      optimus::tensor::ScopedDevice scoped(*devices[r]);
+      oc::Communicator world(fabric, world_id, group, r, *clocks[r], cost, stats[r]);
+      mixed_body(world, *devices[r], out[r]);
+      clocks[r]->drain_compute(cost);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int r = 0; r < p; ++r) {
+    out[r].sim_time = clocks[r]->now();
+    out[r].comm_time = stats[r].total_time();
+    out[r].bytes = stats[r].total_bytes();
+  }
+  return out;
+}
+
+std::vector<RankOutcome> pooled_run(int p, oc::Cluster::Report* report = nullptr) {
+  std::vector<RankOutcome> out(p);
+  const auto rep = oc::run_cluster(p, [&](oc::Context& ctx) {
+    mixed_body(ctx.world, ctx.device, out[ctx.rank]);
+  });
+  for (int r = 0; r < p; ++r) {
+    out[r].sim_time = rep.ranks[r].sim_time;
+    out[r].comm_time = rep.ranks[r].comm_time;
+    out[r].bytes = rep.ranks[r].stats.total_bytes();
+  }
+  if (report != nullptr) *report = rep;
+  return out;
+}
+
+void expect_bitwise_equal(const std::vector<RankOutcome>& a, const std::vector<RankOutcome>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].data.size(), b[r].data.size()) << "rank " << r;
+    EXPECT_EQ(std::memcmp(a[r].data.data(), b[r].data.data(), a[r].data.size() * sizeof(double)),
+              0)
+        << "rank " << r << " data differs";
+    EXPECT_EQ(std::memcmp(&a[r].sim_time, &b[r].sim_time, sizeof(double)), 0) << "rank " << r;
+    EXPECT_EQ(std::memcmp(&a[r].comm_time, &b[r].comm_time, sizeof(double)), 0) << "rank " << r;
+    EXPECT_EQ(a[r].bytes, b[r].bytes) << "rank " << r;
+  }
+}
+
+}  // namespace
+
+TEST(DeviceThreads, BackToBackLaunchesMatchFreshThreadsBitwise) {
+  ots::Watchdog wd("back-to-back launches", std::chrono::seconds(120));
+  // Grow, shrink, grow past the host and shrink again: resident threads are
+  // reused across every launch and must leave no trace in the results.
+  for (const int p : {1, 4, 16, 2}) {
+    SCOPED_TRACE(::testing::Message() << "world " << p);
+    expect_bitwise_equal(pooled_run(p), fresh_thread_run(p));
+  }
+}
+
+TEST(DeviceThreads, OversubscribedWorldParksAndCompletes) {
+  ots::Watchdog wd("oversubscribed world", std::chrono::seconds(120));
+  oc::Cluster::Report report;
+  const auto out = pooled_run(16, &report);
+  expect_bitwise_equal(out, fresh_thread_run(16));
+  std::uint64_t parks = 0;
+  for (const auto& r : report.ranks) parks += r.fabric_parks;
+  EXPECT_GT(parks, 0u) << "16 ranks cannot all be running at once without someone waiting";
+  if (optimus::kernel::hardware_threads() < 16) {
+    // More ranks than hardware threads: a spinning waiter would steal the
+    // core its peer needs, so every wait parks.
+    for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+      EXPECT_EQ(report.ranks[r].fabric_spin_hits, 0u) << "rank " << r << " spun";
+    }
+  }
+}
+
+TEST(DeviceThreads, ThrowingRankLeavesThreadsUsable) {
+  ots::Watchdog wd("throwing rank", std::chrono::seconds(120));
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_THROW(oc::run_cluster(4,
+                                 [](oc::Context& ctx) {
+                                   if (ctx.rank == 2) throw std::runtime_error("rank 2 fails");
+                                 }),
+                 std::runtime_error);
+    expect_bitwise_equal(pooled_run(4), fresh_thread_run(4));
+  }
+}
+
+TEST(DeviceThreads, NestedLaunchIsANamedError) {
+  ots::Watchdog wd("nested launch", std::chrono::seconds(120));
+  try {
+    oc::run_cluster(2, [](oc::Context&) { oc::run_cluster(1, [](oc::Context&) {}); });
+    FAIL() << "nested run_cluster returned";
+  } catch (const oc::NestedLaunchError& e) {
+    EXPECT_NE(std::string(e.what()).find("nested run_cluster"), std::string::npos) << e.what();
+  }
+  // The outer launch's threads are free again.
+  expect_bitwise_equal(pooled_run(2), fresh_thread_run(2));
+}
+
+TEST(DeviceThreads, WaitCountersReachTheMetricsReport) {
+  oc::Cluster::Report report;
+  pooled_run(4, &report);
+  const auto doc = oc::metrics_json(report);
+  const auto& pool = doc.get("pool");
+  ASSERT_TRUE(pool.has("fabric_spin_hits") && pool.has("fabric_parks"));
+  ASSERT_EQ(pool.get("fabric_spin_hits").size(), 4u);
+  ASSERT_EQ(pool.get("fabric_parks").size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(pool.get("fabric_spin_hits").items()[r].as_number(),
+              static_cast<double>(report.ranks[r].fabric_spin_hits));
+    EXPECT_EQ(pool.get("fabric_parks").items()[r].as_number(),
+              static_cast<double>(report.ranks[r].fabric_parks));
+  }
 }

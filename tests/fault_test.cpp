@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -187,6 +189,92 @@ TEST(Fault, PoisonedCollectiveLeavesPostmortemOnEveryRank) {
     const std::string suffix = ".rank" + std::to_string(r) + ".json";
     EXPECT_EQ(slurp(prefix_a + suffix), slurp(prefix_b + suffix))
         << "rank " << r << " dump differs across identical runs";
+  }
+}
+
+TEST(Fault, AbortDuringPeerSpinWakesEveryWaiterWithIdenticalPostmortems) {
+  ots::Watchdog wd("abort during spin test", std::chrono::seconds(120));
+  namespace ob = optimus::obs;
+  struct FlightGuard {
+    ~FlightGuard() {
+      ob::set_flight_enabled(false);
+      ob::flight_reset();
+      ob::flight_set_postmortem_prefix("");
+    }
+  } guard;
+  // Rank 0 sends rank 1 a poisoned message after a short wall delay. While it
+  // waits, rank 1 sits in recv, rank 2 in a barrier that needs rank 1, and
+  // rank 3 in a recv nobody will serve — so the abort lands on a mailbox wait
+  // and a rendezvous wait, inside their spin window for short delays and
+  // after they parked for long ones. Every waiter must unwind, and no delay
+  // may leak into the post-mortems.
+  oc::FaultPlan plan;
+  plan.seed = 13;
+  plan.poison_prob = 1.0;
+  const auto slurp = [](const std::string& path) -> std::string {
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "missing post-mortem dump " << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const auto run = [&](int delay_us, const std::string& prefix) {
+    ob::flight_reset();
+    ob::set_flight_enabled(true);
+    ob::flight_set_postmortem_prefix(prefix);
+    // Ranks 2 and 3 announce they are about to block; the delay starts only
+    // then, so the abort can never land before they entered their waits.
+    std::atomic<int> entering{0};
+    try {
+      oc::run_cluster(4, plan, [&](oc::Context& ctx) {
+        oc::Communicator rest = ctx.world.split(ctx.rank == 0 ? 0 : 1, ctx.rank);
+        std::vector<double> v(5, 0.5);
+        switch (ctx.rank) {
+          case 0: {
+            while (entering.load() < 2) std::this_thread::yield();
+            const auto until =
+                std::chrono::steady_clock::now() + std::chrono::microseconds(delay_us);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            ctx.world.send(1, /*tag=*/1, v.data(), 5);
+            break;
+          }
+          case 1:
+            ctx.world.recv(0, /*tag=*/1, v.data(), 5);
+            rest.barrier();
+            break;
+          case 2:
+            entering.fetch_add(1);
+            rest.barrier();
+            break;
+          default:
+            entering.fetch_add(1);
+            ctx.world.recv(0, /*tag=*/2, v.data(), 5);
+            break;
+        }
+      });
+      ADD_FAILURE() << "poisoned message was consumed silently (delay " << delay_us << " us)";
+    } catch (const oc::FaultError& e) {
+      EXPECT_NE(std::string(e.what()).find("poisoned payload"), std::string::npos) << e.what();
+    }
+  };
+
+  const std::string base = ::testing::TempDir() + "spin_abort_";
+  run(0, base + "ref");
+  std::vector<std::string> ref;
+  for (int r = 1; r < 4; ++r) ref.push_back(slurp(base + "ref.rank" + std::to_string(r) + ".json"));
+  EXPECT_EQ(ob::Json::parse(ref[0]).get("abort_op").as_string(), "recv");
+  EXPECT_EQ(ob::Json::parse(ref[1]).get("abort_op").as_string(), "barrier");
+  EXPECT_EQ(ob::Json::parse(ref[2]).get("abort_op").as_string(), "recv");
+  int i = 0;
+  for (const int delay_us : {0, 2, 10, 30, 100, 1000, 5000}) {
+    const std::string prefix = base + std::to_string(i++);
+    run(delay_us, prefix);
+    for (int r = 1; r < 4; ++r) {
+      EXPECT_EQ(slurp(prefix + ".rank" + std::to_string(r) + ".json"), ref[r - 1])
+          << "rank " << r << " post-mortem depends on when the abort landed (delay "
+          << delay_us << " us)";
+    }
   }
 }
 

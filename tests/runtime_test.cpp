@@ -171,6 +171,60 @@ TEST(Workloads, ClsBandsAreSeparable) {
   }
 }
 
+TEST(Workloads, CachedSamplerReplaysOneSequenceToEveryRank) {
+  ort::PatternLmWorkload reference(4, 8, 16, 4, 11);
+  std::vector<ITensor> expected;
+  for (int i = 0; i < 12; ++i) expected.push_back(reference.next().tokens);
+
+  ort::PatternLmWorkload workload(4, 8, 16, 4, 11);
+  auto sampler = ort::make_cached_sampler([&] { return workload.next(); }, 3);
+  // Ranks read at different paces; each sees the whole sequence in order.
+  std::vector<int> pos(3, 0);
+  const int schedule[] = {0, 0, 0, 1, 2, 1, 0, 2, 2, 2, 2, 2, 1, 1, 1, 0};
+  for (int round = 0; round < 3; ++round) {
+    for (const int r : schedule) {
+      if (pos[r] >= 12) continue;
+      const ort::LmBatch b = sampler(r);
+      EXPECT_EQ(std::memcmp(b.tokens.data(), expected[pos[r]].data(),
+                            sizeof(std::int32_t) * expected[pos[r]].numel()),
+                0)
+          << "rank " << r << " position " << pos[r];
+      ++pos[r];
+    }
+  }
+  EXPECT_THROW(sampler(3), optimus::util::CheckError);
+}
+
+TEST(Workloads, CachedSamplerKeepsDevicePeakIndependentOfRunLength) {
+  // Batches are host input: they must not land in any rank's accountant, and
+  // the cache must not grow with the run. The rank-max peak is then a
+  // function of the model alone — equal at 300 and 1000 steps and across
+  // repeated runs, whichever rank draws each batch first.
+  om::TransformerConfig cfg;
+  cfg.batch = 8;
+  cfg.seq_len = 8;
+  cfg.hidden = 32;
+  cfg.heads = 4;
+  cfg.vocab = 16;
+  cfg.layers = 2;
+  cfg.seed = 7;
+  const auto peak = [&](int steps) {
+    ort::PatternLmWorkload workload(cfg.batch, cfg.seq_len, cfg.vocab, 4, 11);
+    auto sampler = ort::make_cached_sampler([&] { return workload.next(); }, 4);
+    const auto report = oc::run_cluster(4, [&](oc::Context& ctx) {
+      optimus::mesh::Mesh2D mesh(ctx.world);
+      optimus::core::OptimusTransformer<float> engine(cfg, mesh);
+      ort::Adam<float> opt;
+      ort::ConstantLr schedule(3e-3);
+      ort::train_lm(engine, opt, schedule, [&] { return sampler(ctx.rank); }, steps);
+    });
+    return report.max_peak_bytes();
+  };
+  const std::uint64_t short_run = peak(300);
+  EXPECT_EQ(peak(1000), short_run);
+  EXPECT_EQ(peak(300), short_run);
+}
+
 TEST(CharCorpus, EncodeDecodeRoundTrip) {
   ort::CharCorpus corpus("hello world");
   EXPECT_EQ(corpus.vocab_size(), 8);  // ' ', d, e, h, l, o, r, w

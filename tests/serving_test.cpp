@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -48,6 +49,7 @@ namespace om = optimus::model;
 namespace opm = optimus::perfmodel;
 namespace osv = optimus::serving;
 namespace ots = optimus::testing;
+namespace ob = optimus::obs;
 
 using optimus::tensor::index_t;
 using optimus::tensor::ITensor;
@@ -421,6 +423,64 @@ TEST(Serving, EvictionReplayReproducesIdenticalTokens) {
   EXPECT_GT(evictions, 0) << "test failed to exercise any eviction";
 }
 
+TEST(Serving, LaneLabelsSeparateReplayFromDecode) {
+  // Lane phases per slot-step: prompt feeds are prefill, feeding the newest
+  // generated token is a decode, and only an evicted request re-feeding a
+  // token whose successor it already knows is replay (wasted work).
+  om::TransformerConfig cfg = tiny_cfg(1);
+  cfg.seq_len = 9;
+  cfg.batch = 2;
+  const auto reqs = odd_requests(cfg.vocab);
+  om::SerialTransformer<float> m(cfg);
+
+  const auto lane_phases = [&](bool evict) {
+    ob::set_enabled(false);
+    ob::reset();
+    ob::set_enabled(true);
+    osv::SerialDecodeEngine<float> eng(m, cfg.batch);
+    osv::ServingSession<float> session(eng, reqs);
+    using Step = osv::ServingSession<float>::Step;
+    double t = 0;
+    bool evicted = false;
+    for (;;) {
+      const Step s = session.step([&] { return t; });
+      if (s == Step::kDone) break;
+      if (s == Step::kIdle) {
+        t = session.scheduler().next_arrival();
+        continue;
+      }
+      t += 1e-3;
+      // Evict the first request in slot 0 once it has generated a token, so
+      // its replay covers both prompt and generated tokens.
+      const osv::Request* r0 = session.scheduler().request_in_slot(0);
+      if (evict && !evicted && r0 != nullptr && !r0->generated.empty()) {
+        session.scheduler().evict_slot(0);
+        session.engine().reset_slot(0);
+        evicted = true;
+      }
+    }
+    std::map<std::string, int> count;
+    for (const ob::SpanRecord& rec : ob::snapshot()) {
+      if (rec.lane >= 0 && rec.depth == 1) ++count[rec.name];
+    }
+    ob::set_enabled(false);
+    ob::reset();
+    return count;
+  };
+
+  auto plain = lane_phases(false);
+  EXPECT_GT(plain["prefill_step"], 0);
+  EXPECT_GT(plain["decode_step"], 0);
+  EXPECT_EQ(plain["replay_step"], 0) << "no eviction, so nothing is replayed";
+
+  auto evicted = lane_phases(true);
+  EXPECT_GT(evicted["prefill_step"], 0);
+  EXPECT_GT(evicted["decode_step"], 0);
+  EXPECT_GT(evicted["replay_step"], 0) << "the evicted request must replay its prefix";
+  // Replay is extra work on top of the same prefill and decode steps.
+  EXPECT_EQ(evicted["decode_step"], plain["decode_step"]);
+}
+
 TEST(Serving, LatencyFaultsLeaveServedTokensIdentical) {
   ots::Watchdog wd("serving latency fault test", std::chrono::seconds(240));
   const om::TransformerConfig cfg = serving_cfg();
@@ -470,7 +530,6 @@ TEST(Serving, PoisonedDecodeCollectiveAbortsAndResumes) {
   // rank. (Only existence and a named abort op are asserted here — this fault
   // fires mid-run, so ring *contents* differ per rank; byte-determinism is
   // covered by Fault.PoisonedCollectiveLeavesPostmortemOnEveryRank.)
-  namespace ob = optimus::obs;
   struct FlightGuard {
     ~FlightGuard() {
       ob::set_flight_enabled(false);

@@ -14,6 +14,8 @@
 //   * world_size matches the ranks array length;
 //   * every rank carries a utilization breakdown whose fractions lie in
 //     [0, 1] and sum to ~1, and whose accounted_s matches sim_time_s;
+//   * the optional "pool" section carries per-rank fabric_spin_hits and
+//     fabric_parks arrays (one non-negative integer per rank);
 //   * the optional "metrics" registry section has well-formed counter /
 //     gauge / histogram entries (histogram quantiles ordered, count matches
 //     bucket totals).
@@ -95,6 +97,21 @@ MetricsCheck validate_metrics(const Json& doc) {
       MV_FAIL("rank " << i << " accounted_s " << acc << " != sim_time_s " << sim);
   }
   out.ranks = world;
+  if (doc.has("pool")) {
+    const Json& pool = doc.get("pool");
+    if (!pool.is_object()) MV_FAIL("pool section is not an object");
+    for (const char* key : {"fabric_spin_hits", "fabric_parks"}) {
+      if (!pool.has(key) || !pool.get(key).is_array()) MV_FAIL("pool missing " << key << " array");
+      const Json& per_rank = pool.get(key);
+      if (static_cast<int>(per_rank.size()) != world)
+        MV_FAIL("pool " << key << " has " << per_rank.size() << " entries, world_size " << world);
+      for (std::size_t i = 0; i < per_rank.size(); ++i) {
+        const Json& v = per_rank.items()[i];
+        if (!finite_number(v) || v.as_number() < 0 || v.as_number() != std::floor(v.as_number()))
+          MV_FAIL("pool " << key << "[" << i << "] is not a count");
+      }
+    }
+  }
   if (doc.has("metrics")) {
     const Json& reg = doc.get("metrics");
     if (!reg.is_object()) MV_FAIL("metrics section is not an object");
