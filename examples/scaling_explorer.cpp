@@ -125,7 +125,7 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
   const oc::Topology topo(p, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
   const oc::CostModel cost(topo, oc::MachineParams{});
   const auto pred =
-      opm::predict_summa_ab_times(cost, q, q * nb, q * nb, q * nb, sizeof(float));
+      opm::predict_summa_ab_times(cost, q, 1, q * nb, q * nb, q * nb, sizeof(float));
   std::cout << "\nmeasured vs predicted summa_ab sim time, 96x96x96 f32 at q=2\n";
   Table st({"schedule", "measured s", "predicted s", "rel err", "ok?"});
   bool overlap_ok = true;
@@ -165,7 +165,7 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
   const oc::Topology topo25(q * q * depth, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
   const oc::CostModel cost25(topo25, oc::MachineParams{});
   const auto pred25 =
-      opm::predict_summa25_ab_times(cost25, q, depth, q * nb, q * nb, q * nb, sizeof(float));
+      opm::predict_summa_ab_times(cost25, q, depth, q * nb, q * nb, q * nb, sizeof(float));
   std::cout << "\nmeasured vs predicted 2.5D summa_ab sim time, 96x96x96 f32 at q=2 d=2\n";
   Table s25({"schedule", "measured s", "predicted s", "rel err", "ok?"});
   bool depth_ok = true;

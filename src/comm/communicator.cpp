@@ -59,6 +59,19 @@ CollectiveTiming Communicator::begin_async(std::uint64_t seq, double dt) {
   return t;
 }
 
+Communicator::TreeCall Communicator::begin_tree(std::uint64_t seq, tensor::index_t n,
+                                                std::uint64_t bytes, int root, bool blocking,
+                                                obs::Span& span) {
+  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
+  TreeCall call;
+  call.timing = blocking ? begin_collective(seq, plan.time) : begin_async(seq, plan.time);
+  annotate_span(span, bytes, call.timing);
+  if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
+  call.topo = tree_topo(root);
+  call.chunks = chunk_layout(n, plan.chunks);
+  return call;
+}
+
 Communicator::TreeTopo Communicator::tree_topo(int root) const {
   TreeTopo t;
   const int g = static_cast<int>(group_.size());

@@ -65,8 +65,6 @@ class Request {
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
-  bool active() const { return st_ != nullptr; }
-
   /// Completes the collective on this rank; may throw FaultError /
   /// FabricAborted if the fabric died while the payload was in flight.
   void wait();
@@ -77,8 +75,6 @@ class Request {
     Communicator* comm = nullptr;
     const char* wait_op = "";  // string literal (obs::Span lifetime contract)
     double completion = 0;
-    double issue_local = 0;
-    double dt = 0;
     std::uint64_t bytes = 0;
     std::function<void()> finish;  // deferred receives/forwards/accumulates
   };
@@ -120,13 +116,17 @@ class Communicator {
   // -- collectives ----------------------------------------------------------
 
   template <typename T>
-  void broadcast(T* data, tensor::index_t n, int root);
+  void broadcast(T* data, tensor::index_t n, int root) {
+    (void)tree_broadcast(data, n, root, /*blocking=*/true);
+  }
 
   /// In-place sum-reduce; the result is valid only at `root` afterwards.
   /// `scratch` (n elements) avoids the per-call receive buffer allocation;
   /// pass nullptr to let the call allocate its own.
   template <typename T>
-  void reduce(T* data, tensor::index_t n, int root, T* scratch = nullptr);
+  void reduce(T* data, tensor::index_t n, int root, T* scratch = nullptr) {
+    (void)tree_reduce(data, n, root, scratch, /*blocking=*/true);
+  }
 
   // -- non-blocking collectives ---------------------------------------------
   //
@@ -139,13 +139,17 @@ class Communicator {
   /// Async broadcast. `data` must stay valid (and, on non-root ranks,
   /// untouched) until wait() returns.
   template <typename T>
-  Request ibroadcast(T* data, tensor::index_t n, int root);
+  Request ibroadcast(T* data, tensor::index_t n, int root) {
+    return tree_broadcast(data, n, root, /*blocking=*/false);
+  }
 
   /// Async sum-reduce toward `root`. The local partial in `data` must be
   /// final at issue; the reduced result is valid at root after wait().
   /// `scratch` (n elements, optional) must stay valid until wait().
   template <typename T>
-  Request ireduce(T* data, tensor::index_t n, int root, T* scratch = nullptr);
+  Request ireduce(T* data, tensor::index_t n, int root, T* scratch = nullptr) {
+    return tree_reduce(data, n, root, scratch, /*blocking=*/false);
+  }
 
   /// In-place ring all-reduce (sum).
   template <typename T>
@@ -244,7 +248,7 @@ class Communicator {
 
   /// This rank's position in the binomial tree rooted at group rank `root`:
   /// parent (or −1 at the root) and children in descending-mask order — the
-  /// order the blocking broadcast forwards in; reverse it for the reduce's
+  /// order the broadcast forwards in; reverse it for the reduce's
   /// ascending-mask accumulation order.
   struct TreeTopo {
     int parent = -1;
@@ -258,6 +262,35 @@ class Communicator {
   };
   /// Splits [0, n) into `chunks` contiguous runs (sizes differ by ≤ 1).
   static std::vector<Chunk> chunk_layout(tensor::index_t n, int chunks);
+
+  /// One tree collective as entered on this rank: its entry timing, its
+  /// place in the tree and the payload's chunk layout.
+  struct TreeCall {
+    CollectiveTiming timing;
+    TreeTopo topo;
+    std::vector<Chunk> chunks;
+  };
+
+  /// Shared entry of the tree collectives: plans the n-element, `bytes`-byte
+  /// transfer, enters it (blocking: align and advance the clock, exactly as
+  /// begin_collective; issued: begin_async) and annotates `span`.
+  TreeCall begin_tree(std::uint64_t seq, tensor::index_t n, std::uint64_t bytes, int root,
+                      bool blocking, obs::Span& span);
+
+  /// The single binomial-tree broadcast and reduce behind broadcast/reduce
+  /// and ibroadcast/ireduce. The blocking form completes inline and returns
+  /// an inert Request (no state is allocated); the issued form defers a
+  /// rank's receives, and everything after them, to Request::wait().
+  template <typename T>
+  Request tree_broadcast(T* data, tensor::index_t n, int root, bool blocking);
+  template <typename T>
+  Request tree_reduce(T* data, tensor::index_t n, int root, T* scratch, bool blocking);
+
+  /// Runs `relay(topo, chunks)` — this rank's receives, accumulates and
+  /// forwards — inline, or stores it in the returned Request for wait().
+  template <typename Relay>
+  Request complete_tree(TreeCall call, std::uint64_t bytes, bool blocking, bool receives,
+                        const char* wait_op, Relay relay);
 
   /// Attaches the standard collective args (communicator label, group size,
   /// payload bytes, align-wait vs transfer split) to an armed span.
@@ -362,170 +395,87 @@ void Communicator::recv(int src, int tag, T* data, tensor::index_t n) {
 }
 
 template <typename T>
-void Communicator::broadcast(T* data, tensor::index_t n, int root) {
+Request Communicator::tree_broadcast(T* data, tensor::index_t n, int root, bool blocking) {
   const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
+  if (size() == 1) return Request();
   const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("broadcast");
-  obs::Span span("comm", "broadcast");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_collective(seq, plan.time);
-  annotate_span(span, bytes, ct);
-  if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
-  stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
+  const char* op = blocking ? "broadcast" : "ibroadcast";
+  Fabric::OpScope op_scope(op);
+  obs::Span span("comm", op);
+  TreeCall call = begin_tree(seq, n, bytes, root, blocking, span);
+  stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), call.timing.dt);
 
   // MPICH-style binomial tree rooted at `root`; large payloads stream down
   // the tree in chunks (the plan's pipelined schedule). Chunks move in order
   // on each edge, so FIFO matching per (src, tag) keeps them aligned.
-  const TreeTopo topo = tree_topo(root);
   const std::uint64_t tag = collective_tag(seq, 0);
-  for (const Chunk& ck : chunk_layout(n, plan.chunks)) {
-    if (topo.parent >= 0) recv_internal(topo.parent, tag, data + ck.begin, ck.count);
-    for (int child : topo.children) send_internal(child, tag, data + ck.begin, ck.count);
-  }
+  const bool receives = call.topo.parent >= 0;
+  return complete_tree(std::move(call), bytes, blocking, receives, "ibroadcast.wait",
+                       [this, tag, data](const TreeTopo& topo, const std::vector<Chunk>& chunks) {
+                         for (const Chunk& ck : chunks) {
+                           if (topo.parent >= 0) {
+                             recv_internal(topo.parent, tag, data + ck.begin, ck.count);
+                           }
+                           for (int child : topo.children) {
+                             send_internal(child, tag, data + ck.begin, ck.count);
+                           }
+                         }
+                       });
 }
 
 template <typename T>
-void Communicator::reduce(T* data, tensor::index_t n, int root, T* scratch) {
+Request Communicator::tree_reduce(T* data, tensor::index_t n, int root, T* scratch,
+                                  bool blocking) {
   const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
+  if (size() == 1) return Request();
   const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("reduce");
-  obs::Span span("comm", "reduce");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_collective(seq, plan.time);
-  annotate_span(span, bytes, ct);
-  if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
-  stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
+  const char* op = blocking ? "reduce" : "ireduce";
+  Fabric::OpScope op_scope(op);
+  obs::Span span("comm", op);
+  TreeCall call = begin_tree(seq, n, bytes, root, blocking, span);
+  stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), call.timing.dt);
 
   // Reverse binomial tree: children send partial sums toward the root,
   // chunk by chunk. Children are accumulated in ascending-mask order per
   // chunk, so every element sees the same addition order regardless of the
-  // chunk count — chunked and un-chunked reduces are bitwise identical.
-  const TreeTopo topo = tree_topo(root);
+  // chunk count — chunked and un-chunked reduces are bitwise identical. The
+  // receives complete strictly in order, so they share one scratch buffer.
   const std::uint64_t tag = collective_tag(seq, 1);
-  std::vector<T> owned;
-  if (scratch == nullptr) {
-    owned.resize(static_cast<std::size_t>(n));
-    scratch = owned.data();
+  const bool receives = !call.topo.children.empty();
+  std::shared_ptr<std::vector<T>> owned;
+  if (receives && scratch == nullptr) {
+    owned = std::make_shared<std::vector<T>>(static_cast<std::size_t>(n));
+    scratch = owned->data();
   }
-  for (const Chunk& ck : chunk_layout(n, plan.chunks)) {
-    for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
-      recv_internal(*it, tag, scratch, ck.count);
-      T* target = data + ck.begin;
-      for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += scratch[i];
-    }
-    if (topo.parent >= 0) send_internal(topo.parent, tag, data + ck.begin, ck.count);
-  }
+  return complete_tree(
+      std::move(call), bytes, blocking, receives, "ireduce.wait",
+      [this, tag, data, scratch, owned](const TreeTopo& topo, const std::vector<Chunk>& chunks) {
+        for (const Chunk& ck : chunks) {
+          for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
+            recv_internal(*it, tag, scratch, ck.count);
+            T* target = data + ck.begin;
+            for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += scratch[i];
+          }
+          if (topo.parent >= 0) send_internal(topo.parent, tag, data + ck.begin, ck.count);
+        }
+      });
 }
 
-template <typename T>
-Request Communicator::ibroadcast(T* data, tensor::index_t n, int root) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return Request();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("ibroadcast");
-  obs::Span span("comm", "ibroadcast");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_async(seq, plan.time);
-  annotate_span(span, bytes, ct);
-  stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-
-  const TreeTopo topo = tree_topo(root);
-  const std::uint64_t tag = collective_tag(seq, 0);
-  const std::vector<Chunk> chunks = chunk_layout(n, plan.chunks);
-
+template <typename Relay>
+Request Communicator::complete_tree(TreeCall call, std::uint64_t bytes, bool blocking,
+                                    bool receives, const char* wait_op, Relay relay) {
+  // Fabric sends are buffered and never block, so a rank with nothing to
+  // receive relays its whole part at issue in either form.
+  if (blocking || !receives) relay(call.topo, call.chunks);
+  if (blocking) return Request();
   auto st = std::make_unique<Request::State>();
   st->comm = this;
-  st->wait_op = "ibroadcast.wait";
-  st->completion = ct.completion();
-  st->issue_local = ct.entry_local;
-  st->dt = ct.dt;
+  st->wait_op = wait_op;
+  st->completion = call.timing.completion();
   st->bytes = bytes;
-
-  if (topo.parent < 0) {
-    // Root: the payload is ready now; push every chunk eagerly (fabric sends
-    // are buffered and never block), leaving nothing deferred.
-    for (const Chunk& ck : chunks) {
-      for (int child : topo.children) send_internal(child, tag, data + ck.begin, ck.count);
-    }
-  } else {
-    std::vector<Fabric::RecvHandle> pending;
-    pending.reserve(chunks.size());
-    for (const Chunk& ck : chunks) {
-      pending.push_back(fabric_->irecv(world_rank(), group_[topo.parent], tag, data + ck.begin,
-                                       static_cast<std::size_t>(ck.count) * sizeof(T)));
-    }
-    st->finish = [this, topo, tag, data, chunks, pending]() mutable {
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        (void)fabric_->wait(pending[c]);
-        for (int child : topo.children) {
-          send_internal(child, tag, data + chunks[c].begin, chunks[c].count);
-        }
-      }
-    };
-  }
-  return Request(std::move(st));
-}
-
-template <typename T>
-Request Communicator::ireduce(T* data, tensor::index_t n, int root, T* scratch) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return Request();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("ireduce");
-  obs::Span span("comm", "ireduce");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_async(seq, plan.time);
-  annotate_span(span, bytes, ct);
-  stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-
-  const TreeTopo topo = tree_topo(root);
-  const std::uint64_t tag = collective_tag(seq, 1);
-  const std::vector<Chunk> chunks = chunk_layout(n, plan.chunks);
-
-  auto st = std::make_unique<Request::State>();
-  st->comm = this;
-  st->wait_op = "ireduce.wait";
-  st->completion = ct.completion();
-  st->issue_local = ct.entry_local;
-  st->dt = ct.dt;
-  st->bytes = bytes;
-
-  if (topo.children.empty()) {
-    // Leaf: the local partial is final at issue; push every chunk now.
-    for (const Chunk& ck : chunks) send_internal(topo.parent, tag, data + ck.begin, ck.count);
-  } else {
-    // Interior/root: children's partials arrive at wait time. All receive
-    // handles share one scratch buffer — finish() completes them strictly in
-    // order, and the ascending-mask child order per chunk keeps the
-    // accumulation bitwise identical to the blocking reduce.
-    auto owned_scratch = std::make_shared<std::vector<T>>();
-    T* tmp = scratch;
-    if (tmp == nullptr) {
-      owned_scratch->resize(static_cast<std::size_t>(n));
-      tmp = owned_scratch->data();
-    }
-    const int kids = static_cast<int>(topo.children.size());
-    std::vector<Fabric::RecvHandle> pending;
-    pending.reserve(chunks.size() * static_cast<std::size_t>(kids));
-    for (const Chunk& ck : chunks) {
-      for (int k = kids - 1; k >= 0; --k) {
-        pending.push_back(fabric_->irecv(world_rank(), group_[topo.children[k]], tag, tmp,
-                                         static_cast<std::size_t>(ck.count) * sizeof(T)));
-      }
-    }
-    st->finish = [this, topo, tag, data, chunks, pending, tmp, owned_scratch,
-                  kids]() mutable {
-      std::size_t idx = 0;
-      for (const Chunk& ck : chunks) {
-        for (int k = 0; k < kids; ++k) {
-          (void)fabric_->wait(pending[idx++]);
-          T* target = data + ck.begin;
-          for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += tmp[i];
-        }
-        if (topo.parent >= 0) send_internal(topo.parent, tag, data + ck.begin, ck.count);
-      }
+  if (receives) {
+    st->finish = [relay, topo = std::move(call.topo), chunks = std::move(call.chunks)] {
+      relay(topo, chunks);
     };
   }
   return Request(std::move(st));

@@ -282,48 +282,6 @@ double Fabric::recv(int dst, int src, std::uint64_t tag, void* out, std::size_t 
   return ts;
 }
 
-Fabric::RecvHandle Fabric::irecv(int dst, int src, std::uint64_t tag, void* out,
-                                 std::size_t bytes) {
-  OPT_CHECK(dst >= 0 && dst < world_size_, "irecv at rank " << dst);
-  throw_if_aborted();
-  RecvHandle h;
-  h.dst = dst;
-  h.src = src;
-  h.tag = tag;
-  h.out = out;
-  h.bytes = bytes;
-  h.done = false;
-  return h;
-}
-
-bool Fabric::test(RecvHandle& h) {
-  if (h.done) return true;
-  Mailbox& box = *mailboxes_[h.dst];
-  std::unique_lock<std::mutex> lock(box.mu);
-  throw_if_aborted();
-  if (!try_consume_locked(box, lock, h.dst, h.src, h.tag, h.out, h.bytes, &h.timestamp)) {
-    return false;
-  }
-  h.done = true;
-  return true;
-}
-
-double Fabric::wait(RecvHandle& h) {
-  if (h.done) return h.timestamp;
-  h.timestamp = recv(h.dst, h.src, h.tag, h.out, h.bytes);
-  h.done = true;
-  return h.timestamp;
-}
-
-Fabric::SendHandle Fabric::isend(int src, int dst, std::uint64_t tag, const void* data,
-                                 std::size_t bytes, double timestamp) {
-  // send() copies the payload before returning (buffered semantics), so the
-  // async send is complete at the call; faults draw at the same point either
-  // way, keeping plans replayable across blocking/async mixes.
-  send(src, dst, tag, data, bytes, timestamp);
-  return SendHandle{};
-}
-
 Fabric::SyncGroup& Fabric::sync_group(std::uint64_t comm_id, int group_size) {
   SyncGroup* g = nullptr;
   {

@@ -110,45 +110,6 @@ class Fabric {
   /// timestamp.
   double recv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes);
 
-  // -- non-blocking point-to-point ------------------------------------------
-  //
-  // irecv records the match coordinates; the payload lands in `out` when
-  // test()/wait() completes the handle. `out` must stay valid until then.
-  // Fault semantics are identical to the blocking path: a poisoned payload
-  // aborts the fabric and throws FaultError from whichever call consumed it,
-  // and an abort by any rank wakes waiters with FabricAborted.
-
-  struct RecvHandle {
-    int dst = -1;
-    int src = -1;
-    std::uint64_t tag = 0;
-    void* out = nullptr;
-    std::size_t bytes = 0;
-    bool done = true;  // default-constructed handles are no-ops to wait on
-    double timestamp = 0;
-  };
-
-  /// Sends are buffered (the payload is copied before return), so the async
-  /// send completes at the call; the handle exists for API symmetry.
-  struct SendHandle {
-    bool done = true;
-  };
-
-  RecvHandle irecv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes);
-
-  /// Attempts to complete `h` without blocking; true once the payload has
-  /// been delivered (or `h` was already done). Does not draw the straggler
-  /// stall fault — stalls model blocked-receive latency, and a poll that
-  /// consumed draws would make the fault schedule depend on poll counts.
-  bool test(RecvHandle& h);
-
-  /// Blocks until `h` completes; returns the sender's timestamp.
-  double wait(RecvHandle& h);
-
-  SendHandle isend(int src, int dst, std::uint64_t tag, const void* data, std::size_t bytes,
-                   double timestamp = 0.0);
-  void wait(SendHandle&) {}
-
   /// Per-communicator rendezvous state for the side channels. Owned by the
   /// fabric; Communicator looks its group up once at construction.
   struct SyncGroup;

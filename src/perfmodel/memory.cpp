@@ -73,19 +73,18 @@ MemoryBreakdown optimus_memory(const Workload& w, int p, std::size_t elem_size, 
   mem.working = to_bytes(working_elems, elem_size);
 
   // SUMMA workspace: worst single call under the pipelined schedule —
-  // double-buffered panels plus, for the reduce forms, two C partials and a
-  // persistent reduce scratch (max of 2A+2B, 2B+3C, 2A+3C per call). At
-  // depth > 1 the panels shrink to /d sub-panels but each form adds a
-  // captured C partial and a depth-fold scratch (mirrors
-  // summa::workspace_bytes).
+  // double-buffered panels (/d sub-panels at depth d) plus, for the reduce
+  // forms, two C partials and a persistent reduce scratch (max of 2A+2B,
+  // 2B+3C, 2A+3C per call). Only depth > 1 adds summa_ab's C partial and fold
+  // scratch and the reduce forms' packed fixed operand and captured partial
+  // (mirrors summa::workspace_bytes).
   const auto ws3 = [depth](double a, double bb, double cc) {
-    if (depth > 1) {
-      const double dd = static_cast<double>(depth);
-      return std::max({2.0 * a / dd + 2.0 * bb / dd + 2.0 * cc,
-                       a / dd + 2.0 * bb / dd + 4.0 * cc,
-                       2.0 * a / dd + bb / dd + 4.0 * cc});
-    }
-    return std::max({2.0 * a + 2.0 * bb, 2.0 * bb + 3.0 * cc, 2.0 * a + 3.0 * cc});
+    const double dd = static_cast<double>(depth);
+    const double fold = depth > 1 ? 1.0 : 0.0;
+    const double as = a / dd, bs = bb / dd;
+    return std::max({2.0 * as + 2.0 * bs + fold * 2.0 * cc,
+                     fold * as + 2.0 * bs + (3.0 + fold) * cc,
+                     2.0 * as + fold * bs + (3.0 + fold) * cc});
   };
   const double ws_elems = std::max({
       ws3(b * s * h / p, 3.0 * h * h / p, 3.0 * b * s * h / p),  // qkv

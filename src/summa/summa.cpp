@@ -53,151 +53,63 @@ void set_pipeline_enabled(bool enabled) {
 
 namespace {
 
-// -- pipelined schedules -----------------------------------------------------
+// -- the k-loop --------------------------------------------------------------
 //
-// Double-buffered panels: while the GEMM for step l runs, the broadcasts
+// One loop serves every form, depth and schedule. Lookahead 1 (pipelined)
+// double-buffers the panels: while the GEMM for step l runs, the broadcasts
 // (and, in the reduce forms, the reduce) for the adjacent step are already in
-// flight on the row/column links. Payloads, roots and reduction order are
-// identical to the blocking schedule, so results are bitwise identical; only
-// the clock arithmetic changes (Request::wait advances to max(clock,
-// completion) instead of summing).
-
-template <typename T>
-void summa_ab_pipelined(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                        TensorT<T>& C, bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
-  TensorT<T> a_buf[2] = {make_temp<T>(workspace, A.shape()),
-                         make_temp<T>(workspace, A.shape())};
-  TensorT<T> b_buf[2] = {make_temp<T>(workspace, B.shape()),
-                         make_temp<T>(workspace, B.shape())};
-  comm::Request a_req[2], b_req[2];
-  const auto prefetch = [&](int l, int slot) {
-    if (mesh.col() == l) a_buf[slot].copy_from(A);
-    a_req[slot] = mesh.row_comm().ibroadcast(a_buf[slot].data(), a_buf[slot].numel(), l);
-    if (mesh.row() == l) b_buf[slot].copy_from(B);
-    b_req[slot] = mesh.col_comm().ibroadcast(b_buf[slot].data(), b_buf[slot].numel(), l);
-  };
-  prefetch(0, 0);
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) {
-      step_span.arg("l", l);
-      step_span.arg("pipelined", 1);
-    }
-    const int cur = l & 1;
-    if (l + 1 < q) prefetch(l + 1, cur ^ 1);
-    a_req[cur].wait();
-    b_req[cur].wait();
-    const T beta = (l == 0 && !accumulate) ? T{0} : T{1};
-    ops::gemm(C, a_buf[cur], b_buf[cur], ops::Trans::No, ops::Trans::No, T{1}, beta);
-  }
-}
-
-template <typename T>
-void summa_abt_pipelined(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                         TensorT<T>& C, bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
-  TensorT<T> b_buf[2] = {make_temp<T>(workspace, B.shape()),
-                         make_temp<T>(workspace, B.shape())};
-  TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                         make_temp<T>(workspace, C.shape())};
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  comm::Request b_req[2], r_req;
-  int r_root = -1, r_slot = -1;
-  const auto prefetch_b = [&](int l, int slot) {
-    if (mesh.row() == l) b_buf[slot].copy_from(B);
-    b_req[slot] = mesh.col_comm().ibroadcast(b_buf[slot].data(), b_buf[slot].numel(), l);
-  };
-  // At most one reduce is in flight, so one shared scratch serves them all;
-  // a slot's partial is never overwritten before its reduce retires.
-  const auto retire_reduce = [&] {
-    if (!r_req.active()) return;
-    r_req.wait();
-    if (mesh.col() == r_root) {
-      if (accumulate) {
-        ops::add_(C, c_tmp[r_slot]);
-      } else {
-        C.copy_from(c_tmp[r_slot]);
-      }
-    }
-  };
-  prefetch_b(0, 0);
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) {
-      step_span.arg("l", l);
-      step_span.arg("pipelined", 1);
-    }
-    const int cur = l & 1;
-    if (l + 1 < q) prefetch_b(l + 1, cur ^ 1);
-    b_req[cur].wait();
-    ops::gemm(c_tmp[cur], A, b_buf[cur], ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-    retire_reduce();
-    r_req = mesh.row_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                    r_scratch.data());
-    r_root = l;
-    r_slot = cur;
-  }
-  retire_reduce();
-}
-
-template <typename T>
-void summa_atb_pipelined(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                         TensorT<T>& C, bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
-  TensorT<T> a_buf[2] = {make_temp<T>(workspace, A.shape()),
-                         make_temp<T>(workspace, A.shape())};
-  TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                         make_temp<T>(workspace, C.shape())};
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  comm::Request a_req[2], r_req;
-  int r_root = -1, r_slot = -1;
-  const auto prefetch_a = [&](int l, int slot) {
-    if (mesh.col() == l) a_buf[slot].copy_from(A);
-    a_req[slot] = mesh.row_comm().ibroadcast(a_buf[slot].data(), a_buf[slot].numel(), l);
-  };
-  const auto retire_reduce = [&] {
-    if (!r_req.active()) return;
-    r_req.wait();
-    if (mesh.row() == r_root) {
-      if (accumulate) {
-        ops::add_(C, c_tmp[r_slot]);
-      } else {
-        C.copy_from(c_tmp[r_slot]);
-      }
-    }
-  };
-  prefetch_a(0, 0);
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) {
-      step_span.arg("l", l);
-      step_span.arg("pipelined", 1);
-    }
-    const int cur = l & 1;
-    if (l + 1 < q) prefetch_a(l + 1, cur ^ 1);
-    a_req[cur].wait();
-    ops::gemm(c_tmp[cur], a_buf[cur], B, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-    retire_reduce();
-    r_req = mesh.col_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                    r_scratch.data());
-    r_root = l;
-    r_slot = cur;
-  }
-  retire_reduce();
-}
-
-// -- 2.5D (Tesseract) schedules ----------------------------------------------
+// flight on the row/column links. Lookahead 0 issues through the blocking
+// collectives. Payloads, roots and reduction order are identical either way,
+// so results are bitwise identical; only the clock arithmetic changes
+// (Request::wait advances to max(clock, completion) instead of summing).
 //
-// At depth d > 1 every SUMMA contraction block splits into d sub-panels of
-// extent k_b/d; depth layer z broadcasts and multiplies only sub-range z, so
-// per-step broadcast volume and GEMM work both drop by d (arXiv:2105.14500).
-// After the q-step loop each layer holds a pure partial of its C block
-// restricted to its sub-range; a depth-d tree reduction to layer 0
-// (ascending-depth fold — the same ascending-k order a serial sweep of the
-// sub-ranges would use), the accumulate epilogue at layer 0, and a replica
-// broadcast of the finished block complete the product with every depth
-// replica bitwise identical.
+// At depth d > 1 (Tesseract, arXiv:2105.14500) every contraction block splits
+// into d sub-panels of extent k_b/d; depth layer z broadcasts and multiplies
+// only sub-range z, so per-step broadcast volume and GEMM work both drop by d.
+// After the q steps each layer holds a pure partial of its C block restricted
+// to its sub-range; a depth-d tree reduction to layer 0 (ascending-depth
+// fold — the same ascending-k order a serial sweep of the sub-ranges would
+// use), the accumulate epilogue at layer 0, and a replica broadcast of the
+// finished block complete the product with every depth replica bitwise
+// identical. At d = 1 the sub-panel is the whole panel, the reduce forms use
+// their fixed operand in place, and the loop writes into C directly.
+
+/// Runs the q k-steps of one call: `fetch(l, slot)` starts step l's panel
+/// transfers into buffer `slot`, `step(l, slot)` completes them and computes.
+/// Pipelined, step l + 1 is fetched before step l computes.
+template <typename Fetch, typename Step>
+void k_loop(int q, bool pipelined, Fetch&& fetch, Step&& step) {
+  const int ahead = pipelined ? 1 : 0;
+  const int slots = ahead + 1;
+  for (int l = 0; l < ahead && l < q; ++l) fetch(l, l % slots);
+  for (int l = 0; l < q; ++l) {
+    obs::Span step_span("summa", "k_step");
+    if (step_span.armed()) {
+      step_span.arg("l", l);
+      if (pipelined) step_span.arg("pipelined", 1);
+    }
+    if (l + ahead < q) fetch(l + ahead, (l + ahead) % slots);
+    step(l, l % slots);
+  }
+}
+
+/// Broadcasts `buf` from `root`: issued when pipelined, else blocking (the
+/// returned Request is then inert).
+template <typename T>
+comm::Request broadcast(comm::Communicator& c, TensorT<T>& buf, int root, bool pipelined) {
+  if (pipelined) return c.ibroadcast(buf.data(), buf.numel(), root);
+  c.broadcast(buf.data(), buf.numel(), root);
+  return {};
+}
+
+/// Sum-reduces `buf` toward `root`, issued or blocking as broadcast() above.
+template <typename T>
+comm::Request reduce(comm::Communicator& c, TensorT<T>& buf, int root, TensorT<T>& scratch,
+                     bool pipelined) {
+  if (pipelined) return c.ireduce(buf.data(), buf.numel(), root, scratch.data());
+  c.reduce(buf.data(), buf.numel(), root, scratch.data());
+  return {};
+}
 
 /// Copies the `dst.size(1)`-wide column range starting at `c0` out of `src`.
 template <typename T>
@@ -205,6 +117,10 @@ void pack_col_range(TensorT<T>& dst, const TensorT<T>& src, tensor::index_t c0) 
   const tensor::index_t rows = src.size(0);
   const tensor::index_t cols = src.size(1);
   const tensor::index_t w = dst.size(1);
+  if (w == cols) {
+    std::memcpy(dst.data(), src.data(), static_cast<std::size_t>(dst.numel()) * sizeof(T));
+    return;
+  }
   for (tensor::index_t i = 0; i < rows; ++i) {
     std::memcpy(dst.data() + i * w, src.data() + i * cols + c0,
                 static_cast<std::size_t>(w) * sizeof(T));
@@ -218,206 +134,43 @@ void pack_row_range(TensorT<T>& dst, const TensorT<T>& src, tensor::index_t r0) 
               static_cast<std::size_t>(dst.numel()) * sizeof(T));
 }
 
+/// C = src, or C += src when accumulating.
+template <typename T>
+void land(TensorT<T>& C, const TensorT<T>& src, bool accumulate) {
+  if (accumulate) {
+    ops::add_(C, src);
+  } else {
+    C.copy_from(src);
+  }
+}
+
 /// Tree-reduces the per-depth C partials to depth layer 0, applies the
 /// accumulate semantics there, and broadcasts the finished block back down the
 /// depth group so every replica ends bitwise identical. Reuses the chunked
-/// non-blocking collectives (issue + immediate wait ≡ the blocking forms).
+/// non-blocking collectives (issue + immediate wait).
 template <typename T>
 void depth_fold(mesh::Mesh2D& mesh, TensorT<T>& partial, TensorT<T>& C, TensorT<T>& scratch,
                 bool accumulate) {
   comm::Communicator& dc = mesh.depth_comm();
   comm::Request red = dc.ireduce(partial.data(), partial.numel(), /*root=*/0, scratch.data());
   red.wait();
-  if (mesh.depth_idx() == 0) {
-    if (accumulate) {
-      ops::add_(C, partial);
-    } else {
-      C.copy_from(partial);
-    }
-  }
+  if (mesh.depth_idx() == 0) land(C, partial, accumulate);
   comm::Request bc = dc.ibroadcast(C.data(), C.numel(), /*root=*/0);
   bc.wait();
 }
 
-template <typename T>
-void summa_ab_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                  TensorT<T>& C, bool accumulate, bool pipelined, Arena* workspace) {
-  const int q = mesh.q();
-  const tensor::index_t ks = A.size(1) / mesh.depth();
-  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ks;
-  const Shape a_shape{A.size(0), ks};
-  const Shape b_shape{ks, B.size(1)};
-  TensorT<T> c_part = make_temp<T>(workspace, C.shape());
-  TensorT<T> d_scratch = make_temp<T>(workspace, C.shape());
-  if (pipelined) {
-    TensorT<T> a_sub[2] = {make_temp<T>(workspace, a_shape),
-                           make_temp<T>(workspace, a_shape)};
-    TensorT<T> b_sub[2] = {make_temp<T>(workspace, b_shape),
-                           make_temp<T>(workspace, b_shape)};
-    comm::Request a_req[2], b_req[2];
-    const auto prefetch = [&](int l, int slot) {
-      if (mesh.col() == l) pack_col_range(a_sub[slot], A, z0);
-      a_req[slot] = mesh.row_comm().ibroadcast(a_sub[slot].data(), a_sub[slot].numel(), l);
-      if (mesh.row() == l) pack_row_range(b_sub[slot], B, z0);
-      b_req[slot] = mesh.col_comm().ibroadcast(b_sub[slot].data(), b_sub[slot].numel(), l);
-    };
-    prefetch(0, 0);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) {
-        step_span.arg("l", l);
-        step_span.arg("pipelined", 1);
-      }
-      const int cur = l & 1;
-      if (l + 1 < q) prefetch(l + 1, cur ^ 1);
-      a_req[cur].wait();
-      b_req[cur].wait();
-      ops::gemm(c_part, a_sub[cur], b_sub[cur], ops::Trans::No, ops::Trans::No, T{1},
-                l == 0 ? T{0} : T{1});
-    }
-  } else {
-    TensorT<T> a_sub = make_temp<T>(workspace, a_shape);
-    TensorT<T> b_sub = make_temp<T>(workspace, b_shape);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) step_span.arg("l", l);
-      if (mesh.col() == l) pack_col_range(a_sub, A, z0);
-      mesh.row_comm().broadcast(a_sub, /*root=*/l);
-      if (mesh.row() == l) pack_row_range(b_sub, B, z0);
-      mesh.col_comm().broadcast(b_sub, /*root=*/l);
-      ops::gemm(c_part, a_sub, b_sub, ops::Trans::No, ops::Trans::No, T{1},
-                l == 0 ? T{0} : T{1});
-    }
+/// Checks that the contraction extent `k` splits over the mesh depth and
+/// annotates the call's span. Returns whether to pipeline.
+bool open_call(obs::Span& op_span, mesh::Mesh2D& mesh, tensor::index_t k, const char* form) {
+  OPT_CHECK(k % mesh.depth() == 0, form << " contraction block " << k
+                                        << " not divisible by mesh depth " << mesh.depth());
+  const bool pipelined = mesh.q() > 1 && pipeline_enabled();
+  if (op_span.armed()) {
+    op_span.arg("q", mesh.q());
+    if (mesh.depth() > 1) op_span.arg("d", mesh.depth());
+    if (pipelined) op_span.arg("pipelined", 1);
   }
-  depth_fold(mesh, c_part, C, d_scratch, accumulate);
-}
-
-template <typename T>
-void summa_abt_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                   TensorT<T>& C, bool accumulate, bool pipelined, Arena* workspace) {
-  const int q = mesh.q();
-  const tensor::index_t ns = A.size(1) / mesh.depth();
-  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ns;
-  const Shape a_shape{A.size(0), ns};
-  const Shape b_shape{B.size(0), ns};
-  // The local A sub-panel is the same in every step: pack it once.
-  TensorT<T> a_sub = make_temp<T>(workspace, a_shape);
-  pack_col_range(a_sub, A, z0);
-  TensorT<T> c_part = make_temp<T>(workspace, C.shape());
-  // Serves the in-loop row reduces and the final depth fold.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  if (pipelined) {
-    TensorT<T> b_sub[2] = {make_temp<T>(workspace, b_shape),
-                           make_temp<T>(workspace, b_shape)};
-    TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                           make_temp<T>(workspace, C.shape())};
-    comm::Request b_req[2], r_req;
-    int r_root = -1, r_slot = -1;
-    const auto prefetch_b = [&](int l, int slot) {
-      if (mesh.row() == l) pack_col_range(b_sub[slot], B, z0);
-      b_req[slot] = mesh.col_comm().ibroadcast(b_sub[slot].data(), b_sub[slot].numel(), l);
-    };
-    const auto retire_reduce = [&] {
-      if (!r_req.active()) return;
-      r_req.wait();
-      if (mesh.col() == r_root) c_part.copy_from(c_tmp[r_slot]);
-    };
-    prefetch_b(0, 0);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) {
-        step_span.arg("l", l);
-        step_span.arg("pipelined", 1);
-      }
-      const int cur = l & 1;
-      if (l + 1 < q) prefetch_b(l + 1, cur ^ 1);
-      b_req[cur].wait();
-      ops::gemm(c_tmp[cur], a_sub, b_sub[cur], ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-      retire_reduce();
-      r_req = mesh.row_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                      r_scratch.data());
-      r_root = l;
-      r_slot = cur;
-    }
-    retire_reduce();
-  } else {
-    TensorT<T> b_sub = make_temp<T>(workspace, b_shape);
-    TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) step_span.arg("l", l);
-      if (mesh.row() == l) pack_col_range(b_sub, B, z0);
-      mesh.col_comm().broadcast(b_sub, /*root=*/l);
-      ops::gemm(c_tmp, a_sub, b_sub, ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-      mesh.row_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-      if (mesh.col() == l) c_part.copy_from(c_tmp);
-    }
-  }
-  depth_fold(mesh, c_part, C, r_scratch, accumulate);
-}
-
-template <typename T>
-void summa_atb_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                   TensorT<T>& C, bool accumulate, bool pipelined, Arena* workspace) {
-  const int q = mesh.q();
-  const tensor::index_t ms = A.size(0) / mesh.depth();
-  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ms;
-  const Shape a_shape{ms, A.size(1)};
-  const Shape b_shape{ms, B.size(1)};
-  // The local B sub-panel is the same in every step: pack it once.
-  TensorT<T> b_sub = make_temp<T>(workspace, b_shape);
-  pack_row_range(b_sub, B, z0);
-  TensorT<T> c_part = make_temp<T>(workspace, C.shape());
-  // Serves the in-loop column reduces and the final depth fold.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  if (pipelined) {
-    TensorT<T> a_sub[2] = {make_temp<T>(workspace, a_shape),
-                           make_temp<T>(workspace, a_shape)};
-    TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                           make_temp<T>(workspace, C.shape())};
-    comm::Request a_req[2], r_req;
-    int r_root = -1, r_slot = -1;
-    const auto prefetch_a = [&](int l, int slot) {
-      if (mesh.col() == l) pack_row_range(a_sub[slot], A, z0);
-      a_req[slot] = mesh.row_comm().ibroadcast(a_sub[slot].data(), a_sub[slot].numel(), l);
-    };
-    const auto retire_reduce = [&] {
-      if (!r_req.active()) return;
-      r_req.wait();
-      if (mesh.row() == r_root) c_part.copy_from(c_tmp[r_slot]);
-    };
-    prefetch_a(0, 0);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) {
-        step_span.arg("l", l);
-        step_span.arg("pipelined", 1);
-      }
-      const int cur = l & 1;
-      if (l + 1 < q) prefetch_a(l + 1, cur ^ 1);
-      a_req[cur].wait();
-      ops::gemm(c_tmp[cur], a_sub[cur], b_sub, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-      retire_reduce();
-      r_req = mesh.col_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                      r_scratch.data());
-      r_root = l;
-      r_slot = cur;
-    }
-    retire_reduce();
-  } else {
-    TensorT<T> a_sub = make_temp<T>(workspace, a_shape);
-    TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) step_span.arg("l", l);
-      if (mesh.col() == l) pack_row_range(a_sub, A, z0);
-      mesh.row_comm().broadcast(a_sub, /*root=*/l);
-      ops::gemm(c_tmp, a_sub, b_sub, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-      mesh.col_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-      if (mesh.row() == l) c_part.copy_from(c_tmp);
-    }
-  }
-  depth_fold(mesh, c_part, C, r_scratch, accumulate);
+  return pipelined;
 }
 
 }  // namespace
@@ -425,159 +178,180 @@ void summa_atb_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
 template <typename T>
 void summa_ab(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
               bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
   OPT_CHECK(A.ndim() == 2 && B.ndim() == 2 && C.ndim() == 2, "summa_ab needs 2-D blocks");
   OPT_CHECK(A.size(0) == C.size(0) && B.size(1) == C.size(1) && A.size(1) == B.size(0),
             "summa_ab block shapes: A " << A.shape().to_string() << " B "
                                         << B.shape().to_string() << " C "
                                         << C.shape().to_string());
   obs::Span op_span("summa", "summa_ab");
-  if (op_span.armed()) op_span.arg("q", q);
+  const bool pipelined = open_call(op_span, mesh, A.size(1), "summa_ab");
   std::optional<ArenaScope> scope;
   if (workspace != nullptr) scope.emplace(*workspace);
-  if (mesh.depth() > 1) {
-    OPT_CHECK(A.size(1) % mesh.depth() == 0, "summa_ab contraction block "
-                                                 << A.size(1)
-                                                 << " not divisible by mesh depth "
-                                                 << mesh.depth());
-    const bool pipelined = q > 1 && pipeline_enabled();
-    if (op_span.armed()) {
-      op_span.arg("d", mesh.depth());
-      if (pipelined) op_span.arg("pipelined", 1);
-    }
-    summa_ab_25d(mesh, A, B, C, accumulate, pipelined, workspace);
-    return;
+  const int d = mesh.depth();
+  const tensor::index_t ks = A.size(1) / d;
+  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ks;
+  // Depth layers accumulate a partial of C over their sub-range, folded after
+  // the loop; at d = 1 the loop accumulates into C itself.
+  TensorT<T> c_part, d_scratch;
+  if (d > 1) {
+    c_part = make_temp<T>(workspace, C.shape());
+    d_scratch = make_temp<T>(workspace, C.shape());
   }
-  if (q > 1 && pipeline_enabled()) {
-    if (op_span.armed()) op_span.arg("pipelined", 1);
-    summa_ab_pipelined(mesh, A, B, C, accumulate, workspace);
-    return;
+  TensorT<T>& acc = d > 1 ? c_part : C;
+  const bool acc_in = d == 1 && accumulate;
+  TensorT<T> a_sub[2], b_sub[2];
+  comm::Request a_req[2], b_req[2];
+  for (int s = 0; s < (pipelined ? 2 : 1); ++s) {
+    a_sub[s] = make_temp<T>(workspace, Shape{A.size(0), ks});
+    b_sub[s] = make_temp<T>(workspace, Shape{ks, B.size(1)});
   }
-  TensorT<T> a_buf = make_temp<T>(workspace, A.shape());
-  TensorT<T> b_buf = make_temp<T>(workspace, B.shape());
-
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) step_span.arg("l", l);
-    // Column l of the mesh owns the A blocks for this outer-product step;
-    // row l owns the B blocks (paper Fig. 3).
-    if (mesh.col() == l) a_buf.copy_from(A);
-    mesh.row_comm().broadcast(a_buf, /*root=*/l);
-    if (mesh.row() == l) b_buf.copy_from(B);
-    mesh.col_comm().broadcast(b_buf, /*root=*/l);
-    const T beta = (l == 0 && !accumulate) ? T{0} : T{1};
-    ops::gemm(C, a_buf, b_buf, ops::Trans::No, ops::Trans::No, T{1}, beta);
-  }
+  k_loop(
+      mesh.q(), pipelined,
+      [&](int l, int s) {
+        // Column l of the mesh owns the A blocks for this outer-product step;
+        // row l owns the B blocks (paper Fig. 3).
+        if (mesh.col() == l) pack_col_range(a_sub[s], A, z0);
+        a_req[s] = broadcast(mesh.row_comm(), a_sub[s], l, pipelined);
+        if (mesh.row() == l) pack_row_range(b_sub[s], B, z0);
+        b_req[s] = broadcast(mesh.col_comm(), b_sub[s], l, pipelined);
+      },
+      [&](int l, int s) {
+        a_req[s].wait();
+        b_req[s].wait();
+        const T beta = (l == 0 && !acc_in) ? T{0} : T{1};
+        ops::gemm(acc, a_sub[s], b_sub[s], ops::Trans::No, ops::Trans::No, T{1}, beta);
+      });
+  if (d > 1) depth_fold(mesh, c_part, C, d_scratch, accumulate);
 }
 
 template <typename T>
 void summa_abt(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
                bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
   OPT_CHECK(A.ndim() == 2 && B.ndim() == 2 && C.ndim() == 2, "summa_abt needs 2-D blocks");
   OPT_CHECK(A.size(0) == C.size(0) && A.size(1) == B.size(1) && B.size(0) == C.size(1),
             "summa_abt block shapes: A " << A.shape().to_string() << " B "
                                          << B.shape().to_string() << " C "
                                          << C.shape().to_string());
   obs::Span op_span("summa", "summa_abt");
-  if (op_span.armed()) op_span.arg("q", q);
+  const bool pipelined = open_call(op_span, mesh, A.size(1), "summa_abt");
   std::optional<ArenaScope> scope;
   if (workspace != nullptr) scope.emplace(*workspace);
-  if (mesh.depth() > 1) {
-    OPT_CHECK(A.size(1) % mesh.depth() == 0, "summa_abt contraction block "
-                                                 << A.size(1)
-                                                 << " not divisible by mesh depth "
-                                                 << mesh.depth());
-    const bool pipelined = q > 1 && pipeline_enabled();
-    if (op_span.armed()) {
-      op_span.arg("d", mesh.depth());
-      if (pipelined) op_span.arg("pipelined", 1);
-    }
-    summa_abt_25d(mesh, A, B, C, accumulate, pipelined, workspace);
-    return;
+  const int d = mesh.depth();
+  const tensor::index_t ns = A.size(1) / d;
+  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ns;
+  // The A operand is the same in every step: at d > 1 pack this layer's
+  // sub-panel once and capture the row reduces into a partial for the fold.
+  TensorT<T> a_pack, c_part;
+  if (d > 1) {
+    a_pack = make_temp<T>(workspace, Shape{A.size(0), ns});
+    pack_col_range(a_pack, A, z0);
+    c_part = make_temp<T>(workspace, C.shape());
   }
-  if (q > 1 && pipeline_enabled()) {
-    if (op_span.armed()) op_span.arg("pipelined", 1);
-    summa_abt_pipelined(mesh, A, B, C, accumulate, workspace);
-    return;
-  }
-  TensorT<T> b_buf = make_temp<T>(workspace, B.shape());
-  TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-  // Persistent reduce receive buffer, reused across all q steps.
+  const TensorT<T>& a_fixed = d > 1 ? a_pack : A;
+  TensorT<T>& dst = d > 1 ? c_part : C;
+  const bool acc_in = d == 1 && accumulate;
+  // Persistent reduce receive buffer: serves every step and the depth fold.
   TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) step_span.arg("l", l);
-    // Step l computes column-block l of C: broadcast B_l· down columns,
-    // multiply locally, reduce partial C blocks across the row to column l.
-    if (mesh.row() == l) b_buf.copy_from(B);
-    mesh.col_comm().broadcast(b_buf, /*root=*/l);
-    ops::gemm(c_tmp, A, b_buf, ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-    mesh.row_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-    if (mesh.col() == l) {
-      if (accumulate) {
-        ops::add_(C, c_tmp);
-      } else {
-        C.copy_from(c_tmp);
-      }
-    }
+  TensorT<T> b_sub[2], c_tmp[2];
+  for (int s = 0; s < (pipelined ? 2 : 1); ++s) {
+    b_sub[s] = make_temp<T>(workspace, Shape{B.size(0), ns});
+    c_tmp[s] = make_temp<T>(workspace, C.shape());
   }
+  comm::Request b_req[2], r_req;
+  // At most one reduce is outstanding, so one scratch serves them all; a
+  // slot's partial is never overwritten before its reduce retires.
+  int r_root = -1, r_slot = -1;
+  const auto retire = [&] {
+    if (r_root < 0) return;
+    r_req.wait();
+    if (mesh.col() == r_root) land(dst, c_tmp[r_slot], acc_in);
+    r_root = -1;
+  };
+  k_loop(
+      mesh.q(), pipelined,
+      [&](int l, int s) {
+        if (mesh.row() == l) pack_col_range(b_sub[s], B, z0);
+        b_req[s] = broadcast(mesh.col_comm(), b_sub[s], l, pipelined);
+      },
+      [&](int l, int s) {
+        // Step l computes column-block l of C: multiply locally, reduce the
+        // partial C blocks across the row to column l.
+        b_req[s].wait();
+        ops::gemm(c_tmp[s], a_fixed, b_sub[s], ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
+        // Pipelined, step l-1's reduce lands after this GEMM; blocking, step
+        // l's lands at once.
+        retire();
+        r_req = reduce(mesh.row_comm(), c_tmp[s], l, r_scratch, pipelined);
+        r_root = l;
+        r_slot = s;
+        if (!pipelined) retire();
+      });
+  retire();
+  if (d > 1) depth_fold(mesh, c_part, C, r_scratch, accumulate);
 }
 
 template <typename T>
 void summa_atb(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
                bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
   OPT_CHECK(A.ndim() == 2 && B.ndim() == 2 && C.ndim() == 2, "summa_atb needs 2-D blocks");
   OPT_CHECK(A.size(1) == C.size(0) && B.size(1) == C.size(1) && A.size(0) == B.size(0),
             "summa_atb block shapes: A " << A.shape().to_string() << " B "
                                          << B.shape().to_string() << " C "
                                          << C.shape().to_string());
   obs::Span op_span("summa", "summa_atb");
-  if (op_span.armed()) op_span.arg("q", q);
+  const bool pipelined = open_call(op_span, mesh, A.size(0), "summa_atb");
   std::optional<ArenaScope> scope;
   if (workspace != nullptr) scope.emplace(*workspace);
-  if (mesh.depth() > 1) {
-    OPT_CHECK(A.size(0) % mesh.depth() == 0, "summa_atb contraction block "
-                                                 << A.size(0)
-                                                 << " not divisible by mesh depth "
-                                                 << mesh.depth());
-    const bool pipelined = q > 1 && pipeline_enabled();
-    if (op_span.armed()) {
-      op_span.arg("d", mesh.depth());
-      if (pipelined) op_span.arg("pipelined", 1);
-    }
-    summa_atb_25d(mesh, A, B, C, accumulate, pipelined, workspace);
-    return;
+  const int d = mesh.depth();
+  const tensor::index_t ms = A.size(0) / d;
+  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ms;
+  // The B operand is the same in every step: at d > 1 pack this layer's
+  // sub-panel once and capture the column reduces into a partial for the fold.
+  TensorT<T> b_pack, c_part;
+  if (d > 1) {
+    b_pack = make_temp<T>(workspace, Shape{ms, B.size(1)});
+    pack_row_range(b_pack, B, z0);
+    c_part = make_temp<T>(workspace, C.shape());
   }
-  if (q > 1 && pipeline_enabled()) {
-    if (op_span.armed()) op_span.arg("pipelined", 1);
-    summa_atb_pipelined(mesh, A, B, C, accumulate, workspace);
-    return;
-  }
-  TensorT<T> a_buf = make_temp<T>(workspace, A.shape());
-  TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-  // Persistent reduce receive buffer, reused across all q steps.
+  const TensorT<T>& b_fixed = d > 1 ? b_pack : B;
+  TensorT<T>& dst = d > 1 ? c_part : C;
+  const bool acc_in = d == 1 && accumulate;
+  // Persistent reduce receive buffer: serves every step and the depth fold.
   TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) step_span.arg("l", l);
-    // Step l computes row-block l of C: broadcast A_·l across rows, multiply
-    // locally, reduce partial C blocks down the column to row l.
-    if (mesh.col() == l) a_buf.copy_from(A);
-    mesh.row_comm().broadcast(a_buf, /*root=*/l);
-    ops::gemm(c_tmp, a_buf, B, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-    mesh.col_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-    if (mesh.row() == l) {
-      if (accumulate) {
-        ops::add_(C, c_tmp);
-      } else {
-        C.copy_from(c_tmp);
-      }
-    }
+  TensorT<T> a_sub[2], c_tmp[2];
+  for (int s = 0; s < (pipelined ? 2 : 1); ++s) {
+    a_sub[s] = make_temp<T>(workspace, Shape{ms, A.size(1)});
+    c_tmp[s] = make_temp<T>(workspace, C.shape());
   }
+  comm::Request a_req[2], r_req;
+  int r_root = -1, r_slot = -1;
+  const auto retire = [&] {
+    if (r_root < 0) return;
+    r_req.wait();
+    if (mesh.row() == r_root) land(dst, c_tmp[r_slot], acc_in);
+    r_root = -1;
+  };
+  k_loop(
+      mesh.q(), pipelined,
+      [&](int l, int s) {
+        if (mesh.col() == l) pack_row_range(a_sub[s], A, z0);
+        a_req[s] = broadcast(mesh.row_comm(), a_sub[s], l, pipelined);
+      },
+      [&](int l, int s) {
+        // Step l computes row-block l of C: multiply locally, reduce the
+        // partial C blocks down the column to row l.
+        a_req[s].wait();
+        ops::gemm(c_tmp[s], a_sub[s], b_fixed, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
+        // Pipelined, step l-1's reduce lands after this GEMM; blocking, step
+        // l's lands at once.
+        retire();
+        r_req = reduce(mesh.col_comm(), c_tmp[s], l, r_scratch, pipelined);
+        r_root = l;
+        r_slot = s;
+        if (!pipelined) retire();
+      });
+  retire();
+  if (d > 1) depth_fold(mesh, c_part, C, r_scratch, accumulate);
 }
 
 template <typename T>
@@ -646,33 +420,20 @@ std::uint64_t workspace_bytes(std::uint64_t a_block_elems, std::uint64_t b_block
                               std::uint64_t c_block_elems, std::size_t elem_size,
                               int depth) {
   const auto align = [](std::uint64_t n) { return (n + 63) & ~std::uint64_t{63}; };
+  const std::uint64_t d = static_cast<std::uint64_t>(depth);
+  const std::uint64_t as = align(a_block_elems / d * elem_size);
+  const std::uint64_t bs = align(b_block_elems / d * elem_size);
   const std::uint64_t c = align(c_block_elems * elem_size);
-  if (depth > 1) {
-    // 2.5D schedules broadcast /d sub-panels but add a captured C partial and
-    // a depth-fold scratch (the reduce forms reuse their row/column reduce
-    // scratch for the fold). Pipelined worst case per form:
-    //   summa_ab  : 2·A/d + 2·B/d sub-panels + C partial + depth scratch
-    //   summa_abt : A/d + 2·B/d sub-panels + 2 in-flight partials + scratch
-    //               + captured partial
-    //   summa_atb : 2·A/d + B/d sub-panels + 2 in-flight partials + scratch
-    //               + captured partial
-    const std::uint64_t d = static_cast<std::uint64_t>(depth);
-    const std::uint64_t as = align(a_block_elems / d * elem_size);
-    const std::uint64_t bs = align(b_block_elems / d * elem_size);
-    const std::uint64_t ab = 2 * as + 2 * bs + 2 * c;
-    const std::uint64_t bc = as + 2 * bs + 4 * c;
-    const std::uint64_t ac = 2 * as + bs + 4 * c;
-    return std::max({ab, bc, ac});
-  }
-  const std::uint64_t a = align(a_block_elems * elem_size);
-  const std::uint64_t b = align(b_block_elems * elem_size);
-  // Pipelined worst case across the three forms on these roles: summa_ab
-  // double-buffers both panels; the reduce forms double-buffer one panel and
-  // the C partial and keep a persistent reduce scratch. The blocking paths
-  // fit inside the same envelope.
-  const std::uint64_t ab = 2 * a + 2 * b;
-  const std::uint64_t bc = 2 * b + 3 * c;
-  const std::uint64_t ac = 2 * a + 3 * c;
+  // Terms only depth > 1 allocates: summa_ab's C partial and fold scratch,
+  // the reduce forms' packed fixed operand and captured C partial.
+  const std::uint64_t fold = depth > 1 ? 1 : 0;
+  // Pipelined worst case per form (the blocking schedule fits inside):
+  //   summa_ab  : 2·A/d + 2·B/d sub-panels
+  //   summa_abt : 2·B/d sub-panels + 2 in-flight partials + reduce scratch
+  //   summa_atb : 2·A/d sub-panels + 2 in-flight partials + reduce scratch
+  const std::uint64_t ab = 2 * as + 2 * bs + fold * 2 * c;
+  const std::uint64_t bc = 2 * bs + 3 * c + fold * (as + c);
+  const std::uint64_t ac = 2 * as + 3 * c + fold * (bs + c);
   return std::max({ab, bc, ac});
 }
 

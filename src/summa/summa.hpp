@@ -20,13 +20,16 @@
 //   summa_abt : q column-broadcasts of B blocks + q row-reduces of C blocks
 //   summa_atb : q row-broadcasts of A blocks + q column-reduces of C blocks
 //
-// On a depth-d mesh (Tesseract-style 2.5D, arXiv:2105.14500) operands are
-// replicated across the d depth layers and every contraction block splits
-// into d sub-panels of extent k_b/d: layer z broadcasts and multiplies only
-// sub-range z (broadcast volume and per-step GEMM work both /d), then a
-// depth-d tree reduction of the C partials to layer 0, the accumulate
-// epilogue, and a replica broadcast finish the call with all depth replicas
-// bitwise identical. d = 1 runs exactly the 2D schedules above.
+// Each form is one k-loop over (depth, lookahead). On a depth-d mesh
+// (Tesseract-style 2.5D, arXiv:2105.14500) operands are replicated across
+// the d depth layers and every contraction block splits into d sub-panels of
+// extent k_b/d: layer z broadcasts and multiplies only sub-range z
+// (broadcast volume and per-step GEMM work both /d), then a depth-d tree
+// reduction of the C partials to layer 0, the accumulate epilogue, and a
+// replica broadcast finish the call with all depth replicas bitwise
+// identical. At d = 1 the sub-panel is the whole panel and the loop writes C
+// directly, with no fold. The lookahead is the schedule below: 1 (pipelined)
+// or 0 (blocking collectives).
 //
 // If `workspace` is non-null the broadcast/reduce temporaries are carved from
 // it (and released on return), implementing the paper's §3.2.3 pre-allocated
@@ -40,11 +43,12 @@ namespace optimus::summa {
 
 // -- pipelining switch -------------------------------------------------------
 //
-// When enabled (the default), the SUMMA k-loop double-buffers its panels and
-// issues the broadcasts/reduces for step l+1 asynchronously while the GEMM
-// for step l runs, so a steady-state step costs max(comm, compute) instead of
-// comm + compute. Results are bitwise identical to the blocking schedule
-// (identical payloads, identical reduction order). The process-wide default
+// When enabled (the default) and q > 1, the SUMMA k-loop runs at lookahead
+// 1: it double-buffers its panels and issues the broadcasts/reduces for step
+// l+1 asynchronously while the GEMM for step l runs, so a steady-state step
+// costs max(comm, compute) instead of comm + compute. Disabled, it runs at
+// lookahead 0 through the blocking collectives. Results are bitwise
+// identical either way (identical payloads, identical reduction order). The process-wide default
 // comes from OPTIMUS_SUMMA_PIPELINE (unset or any value but "0" → on), read
 // once on first use; set_pipeline_enabled()/PipelineGuard override it.
 
@@ -98,13 +102,13 @@ void cannon_ab(mesh::Mesh2D& mesh, const tensor::TensorT<T>& A, const tensor::Te
 
 /// Bytes of workspace one summa_* call needs for blocks of the given sizes
 /// (64-byte-aligned temporaries), sized for the pipelined schedule's worst
-/// case across the three forms on these roles: double-buffered panels plus,
-/// for the reduce forms, two in-flight C partials and a persistent reduce
-/// scratch. Engines size their workspace arenas as the max over the calls
-/// they make — matmuls run sequentially, so one workspace serves all of them
-/// (paper §3.2.3). On a depth-d mesh pass `depth` so the envelope covers the
-/// 2.5D schedule instead: /d sub-panels plus the captured C partial and the
-/// depth-fold scratch. depth = 1 reproduces the 2D envelope exactly.
+/// case across the three forms on these roles: double-buffered /depth
+/// sub-panels plus, for the reduce forms, two in-flight C partials and a
+/// persistent reduce scratch. At depth > 1 it adds the terms only a depth
+/// mesh allocates: summa_ab's C partial and fold scratch, the reduce forms'
+/// packed fixed operand and captured partial. Engines size their workspace
+/// arenas as the max over the calls they make — matmuls run sequentially, so
+/// one workspace serves all of them (paper §3.2.3).
 std::uint64_t workspace_bytes(std::uint64_t a_block_elems, std::uint64_t b_block_elems,
                               std::uint64_t c_block_elems, std::size_t elem_size,
                               int depth = 1);

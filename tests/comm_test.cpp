@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -499,6 +500,53 @@ TEST(AsyncCollectives, ChunkedReduceMatchesUnchunkedBitwise) {
   }
   ASSERT_EQ(results[0].size(), n);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(results[0][i], results[1][i]);
+}
+
+TEST(Collectives, BlockingTreeBucketsEntryWaitAndTransferExactly) {
+  // The blocking broadcast/reduce share their tree with the issued forms but
+  // keep the blocking clock contract: the entry wait (slowest member's
+  // arrival minus this rank's) lands in align_wait and the modelled dt in
+  // transfer, bitwise. Entry clocks are staggered by per-rank compute; the
+  // large payload crosses inter-node links in the chunked plan.
+  const int p = 4;
+  oc::Topology topo(p, /*gpus_per_node=*/1, oc::Arrangement::kNaive);
+  const oc::MachineParams mp;
+  oc::Cluster cluster(p, topo, mp);
+  const auto mults = [](int rank) { return 1000000ull * static_cast<unsigned>(rank * rank + 1); };
+  for (const bool reduce : {false, true}) {
+    for (const std::size_t n : {std::size_t{64}, std::size_t{32768}}) {
+      const auto report = cluster.run([&](oc::Context& ctx) {
+        ctx.device.on_mults(mults(ctx.rank));
+        ctx.clock.drain_compute(ctx.cost);
+        double latest = 0;
+        for (int r = 0; r < p; ++r) latest = std::max(latest, ctx.cost.compute_time(mults(r)));
+        const double entry = ctx.clock.now();
+        ASSERT_EQ(entry, ctx.cost.compute_time(mults(ctx.rank)));
+        const auto plan = ctx.cost.tree_plan(ctx.world.group(), n * sizeof(double));
+        EXPECT_EQ(plan.chunks > 1, n > 64) << "n=" << n;
+        std::vector<double> data(n, 1.0 + ctx.rank);
+        const auto count = static_cast<optimus::tensor::index_t>(n);
+        if (reduce) {
+          ctx.world.reduce(data.data(), count, /*root=*/1);
+        } else {
+          ctx.world.broadcast(data.data(), count, /*root=*/1);
+        }
+        const oc::UtilBreakdown& u = ctx.clock.util();
+        EXPECT_EQ(u.align_wait, latest - entry) << "reduce=" << reduce << " n=" << n;
+        EXPECT_EQ(u.transfer, plan.time) << "reduce=" << reduce << " n=" << n;
+        EXPECT_EQ(ctx.clock.now(), latest + plan.time);
+        const double want_root = reduce ? 1.0 + 2.0 + 3.0 + 4.0 : 2.0;
+        if (!reduce || ctx.rank == 1) {
+          EXPECT_EQ(data[n - 1], want_root);
+        }
+      });
+      for (const auto& r : report.ranks) {
+        const auto& op = reduce ? r.stats.reduce : r.stats.broadcast;
+        EXPECT_EQ(op.calls, 1u);
+        EXPECT_EQ(op.time, r.util.transfer);
+      }
+    }
+  }
 }
 
 TEST(Cluster, BodyExceptionPropagates) {

@@ -8,10 +8,12 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "comm/cluster.hpp"
 #include "mesh/mesh.hpp"
+#include "perfmodel/memory.hpp"
 #include "perfmodel/validation.hpp"
 #include "summa/summa.hpp"
 #include "tensor/distribution.hpp"
@@ -330,6 +332,94 @@ TEST(SummaPipeline, AllFormsBitwiseIdenticalToBlocking) {
   }
 }
 
+TEST(SummaPipeline, BlockingScheduleBucketsCollectiveTimeAsTransfer) {
+  // Under the blocking schedule on a 2D mesh every collective entry aligns
+  // (align_wait) and then advances by exactly its modelled dt (transfer), so
+  // a rank's transfer bucket is the sum of its broadcast and reduce times.
+  // The bucket adds the dts in call order and the stats per op kind, so the
+  // interleaved reduce forms may differ in the last bits.
+  const ot::index_t mb = 2, kb = 3, nb = 4;
+  for (int q : {2, 3, 4}) {
+    for (const char* form : {"ab", "abt", "atb"}) {
+      const std::string f = form;
+      const auto report = oc::run_cluster(q * q, [&](oc::Context& ctx) {
+        os::PipelineGuard guard(false);
+        om::Mesh2D mesh(ctx.world);
+        if (f == "ab") {
+          DTensor A = DTensor::zeros(Shape{mb, kb});
+          DTensor B = DTensor::zeros(Shape{kb, nb});
+          DTensor C = DTensor::zeros(Shape{mb, nb});
+          os::summa_ab(mesh, A, B, C);
+        } else if (f == "abt") {
+          DTensor A = DTensor::zeros(Shape{mb, nb});
+          DTensor B = DTensor::zeros(Shape{kb, nb});
+          DTensor C = DTensor::zeros(Shape{mb, kb});
+          os::summa_abt(mesh, A, B, C);
+        } else {
+          DTensor A = DTensor::zeros(Shape{mb, nb});
+          DTensor B = DTensor::zeros(Shape{mb, kb});
+          DTensor C = DTensor::zeros(Shape{nb, kb});
+          os::summa_atb(mesh, A, B, C);
+        }
+      });
+      for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+        const auto& rank = report.ranks[r];
+        EXPECT_GT(rank.util.transfer, 0.0) << f << " q=" << q << " rank " << r;
+        EXPECT_DOUBLE_EQ(rank.util.transfer,
+                         rank.stats.broadcast.time + rank.stats.reduce.time)
+            << f << " q=" << q << " rank " << r;
+        if (f == "ab") {
+          EXPECT_EQ(rank.util.transfer, rank.stats.broadcast.time) << "q=" << q << " rank " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(Summa, WorkspaceEnvelopePinnedAcrossDepths) {
+  // One envelope formula serves every depth; its depth-only terms (the
+  // packed fixed operand, the captured and folded C partials) vanish at
+  // d = 1. Literal byte counts for the three block roles: a qkv-like product
+  // (C largest), an fc2-like one (A largest) and a small unaligned f64 one
+  // that exercises the 64-byte rounding of every temporary.
+  struct Role {
+    std::uint64_t a, b, c;
+    std::size_t elem;
+    std::uint64_t want[3];  // d = 1, 2, 4
+  };
+  const Role roles[] = {
+      {32768, 49152, 98304, sizeof(float), {1572864, 1835008, 1703936}},
+      {131072, 65536, 32768, sizeof(float), {1572864, 1179648, 851968}},
+      {120, 200, 240, sizeof(double), {8960, 9856, 8832}},
+  };
+  const int depths[] = {1, 2, 4};
+  for (const Role& role : roles) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(os::workspace_bytes(role.a, role.b, role.c, role.elem, depths[i]), role.want[i])
+          << "a=" << role.a << " d=" << depths[i];
+    }
+  }
+  // The memory model's envelope is the same formula over the engine's roles.
+  namespace opm = optimus::perfmodel;
+  opm::Workload w;
+  w.b = 8;
+  w.s = 64;
+  w.h = 256;
+  w.n = 4;
+  w.v = 512;
+  w.layers = 2;
+  const std::uint64_t want_small[3] = {1572864, 1835008, 1703936};
+  const std::uint64_t want_default[3] = {52428800, 59047936, 55738368};
+  for (int i = 0; i < 3; ++i) {
+    const int d = depths[i];
+    EXPECT_EQ(opm::optimus_memory(w, 4 * d, sizeof(float), d).workspace, want_small[i])
+        << "d=" << d;
+    EXPECT_EQ(opm::optimus_memory(opm::Workload{}, 16 * d, sizeof(float), d).workspace,
+              want_default[i])
+        << "d=" << d;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 2.5D (Tesseract) schedule: depth meshes, replica identity and the clock model
 // ---------------------------------------------------------------------------
@@ -459,36 +549,31 @@ TEST(Summa25d, CommunicationVolumeMatchesDepthAccounting) {
 TEST(Summa25d, SimTimeMatchesDepthPredictor) {
   // The simulator's clock on a q×q×d mesh must reproduce the 2.5D closed form
   // — Table-1 terms /d plus the depth-reduction term — exactly, under both
-  // schedules, and the d = 1 predictor must degenerate to the 2D one.
+  // schedules.
   namespace opm = optimus::perfmodel;
-  const int q = 2, d = 2;
+  const int q = 2;
   const ot::index_t nb = 96 / q;
-  const auto run_mode = [&](bool pipelined) {
-    const auto report = oc::run_cluster(q * q * d, [&](oc::Context& ctx) {
-      os::PipelineGuard guard(pipelined);
-      om::Mesh2D mesh(ctx.world, d);
-      DTensor A = DTensor::zeros(Shape{nb, nb});
-      DTensor B = DTensor::zeros(Shape{nb, nb});
-      DTensor C = DTensor::zeros(Shape{nb, nb});
-      os::summa_ab(mesh, A, B, C);
-    });
-    return report.max_sim_time();
-  };
-  const double blocking = run_mode(false);
-  const double pipelined = run_mode(true);
-  const oc::Topology topo(q * q * d, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
-  const oc::CostModel cost(topo, oc::MachineParams{});
-  const auto pred = opm::predict_summa25_ab_times(cost, q, d, 96, 96, 96, sizeof(double));
-  EXPECT_NEAR(blocking, pred.blocking_s, 1e-9 * pred.blocking_s);
-  EXPECT_NEAR(pipelined, pred.pipelined_s, 1e-9 * pred.pipelined_s);
-  EXPECT_LT(pipelined, blocking);
-
-  const oc::Topology topo2(q * q, 4, oc::Arrangement::kBunched, 0);
-  const oc::CostModel cost2(topo2, oc::MachineParams{});
-  const auto flat = opm::predict_summa25_ab_times(cost2, q, 1, 96, 96, 96, sizeof(double));
-  const auto flat2d = opm::predict_summa_ab_times(cost2, q, 96, 96, 96, sizeof(double));
-  EXPECT_DOUBLE_EQ(flat.blocking_s, flat2d.blocking_s);
-  EXPECT_DOUBLE_EQ(flat.pipelined_s, flat2d.pipelined_s);
+  for (int d : {2, 4}) {
+    const auto run_mode = [&](bool pipelined) {
+      const auto report = oc::run_cluster(q * q * d, [&](oc::Context& ctx) {
+        os::PipelineGuard guard(pipelined);
+        om::Mesh2D mesh(ctx.world, d);
+        DTensor A = DTensor::zeros(Shape{nb, nb});
+        DTensor B = DTensor::zeros(Shape{nb, nb});
+        DTensor C = DTensor::zeros(Shape{nb, nb});
+        os::summa_ab(mesh, A, B, C);
+      });
+      return report.max_sim_time();
+    };
+    const double blocking = run_mode(false);
+    const double pipelined = run_mode(true);
+    const oc::Topology topo(q * q * d, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
+    const oc::CostModel cost(topo, oc::MachineParams{});
+    const auto pred = opm::predict_summa_ab_times(cost, q, d, 96, 96, 96, sizeof(double));
+    EXPECT_NEAR(blocking, pred.blocking_s, 1e-9 * pred.blocking_s) << "d=" << d;
+    EXPECT_NEAR(pipelined, pred.pipelined_s, 1e-9 * pred.pipelined_s) << "d=" << d;
+    EXPECT_LT(pipelined, blocking) << "d=" << d;
+  }
 }
 
 TEST(SummaPipeline, SimTimeMatchesOverlapPredictorAndBeatsBlocking) {
@@ -513,7 +598,7 @@ TEST(SummaPipeline, SimTimeMatchesOverlapPredictorAndBeatsBlocking) {
     const double pipelined = run_mode(true);
     const oc::Topology topo(q * q, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
     const oc::CostModel cost(topo, oc::MachineParams{});
-    const auto pred = opm::predict_summa_ab_times(cost, q, 96, 96, 96, sizeof(double));
+    const auto pred = opm::predict_summa_ab_times(cost, q, 1, 96, 96, 96, sizeof(double));
     EXPECT_NEAR(blocking, pred.blocking_s, 1e-9 * pred.blocking_s) << "q=" << q;
     EXPECT_NEAR(pipelined, pred.pipelined_s, 1e-9 * pred.pipelined_s) << "q=" << q;
     EXPECT_LE(pipelined, 0.75 * blocking) << "q=" << q;
