@@ -25,6 +25,13 @@
 //                    of the local blocks), in the transpose form each pass
 //                    uses, plus the per-head attention products (s64, d32).
 //                    One thread, as each rank runs there.
+//   * gelu_{fwd,bwd}_f32, tanh_libm_f32 — the activation routines of
+//                    kernel/activation.hpp on the per-rank fc1 output of the
+//                    same workload (256×512, one thread): bias+GELU row by
+//                    row as ops::bias_gelu_ calls it, the GELU backward over
+//                    the whole block, and libm tanhf per element as the
+//                    reference the owned tanh replaced. These rows report
+//                    `ns_per_elem` (gflops is 0).
 //
 // Every row is the median of kSamples (7) samples after one warm-up call; a
 // sample is enough back-to-back calls to cover ~40 ms. gflops and wall_ms come from the median; min_ms, max_ms, spread_ms
@@ -36,12 +43,14 @@
 // submitters — can exceed wall time) plus the per-region average
 // `pool_avg_region_wait_ms`.
 
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "kernel/activation.hpp"
 #include "kernel/gemm.hpp"
 #include "kernel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -212,12 +221,8 @@ void run_fusion_suite(const char* dtype, index_t m, index_t n, index_t k,
       for (index_t j = 0; j < n; ++j) row[j] += bias[j];
     }
     for (index_t i = 0; i < m; ++i) {
-      T* prow = pre.data() + i * n;
       T* crow = C.data() + i * n;
-      for (index_t j = 0; j < n; ++j) {
-        prow[j] = crow[j];
-        crow[j] = ok::gelu_scalar(crow[j]);
-      }
+      ok::bias_gelu<T>(crow, nullptr, pre.data() + i * n, crow, n);
     }
   });
   ok::set_threads(0);
@@ -250,6 +255,42 @@ void run_rank_suite(const std::vector<RankShape>& shapes, JsonWriter& json) {
                       0.0f);
     });
   }
+  std::printf("\n");
+}
+
+void run_activation_suite(JsonWriter& json) {
+  const index_t rows = 256, cols = 512, n = rows * cols;
+  const std::string tag = "256x512";
+  std::vector<float> x = random_buffer<float>(n, 1);
+  for (float& v : x) v *= 4.0f;  // pre-activations reach the saturated tails
+  const std::vector<float> bias = random_buffer<float>(cols, 2);
+  const std::vector<float> dy = random_buffer<float>(n, 3);
+  std::vector<float> pre(static_cast<std::size_t>(n)), y(static_cast<std::size_t>(n));
+  std::printf("%-26s %-18s %10s %10s %9s %10s\n", "name", "shape", "median_ms", "min_ms", "spread",
+              "ns/elem");
+  const auto row = [&](const std::string& name, const std::function<void()>& body) {
+    const Summary t = time_ms(body);
+    const double ns = t.median * 1e6 / static_cast<double>(n);
+    std::printf("%-26s %-18s %10.3f %10.3f %9.3f %10.2f\n", name.c_str(), tag.c_str(), t.median,
+                t.min, t.max - t.min, ns);
+    json.add(name, tag, 0.0, t.median, 0.0,
+             {{"samples", static_cast<double>(kSamples)},
+              {"ns_per_elem", ns},
+              {"min_ms", t.min},
+              {"max_ms", t.max},
+              {"spread_ms", t.max - t.min},
+              {"iqr_ms", t.iqr}});
+  };
+  row("gelu_fwd_f32", [&] {
+    for (index_t r = 0; r < rows; ++r) {
+      ok::bias_gelu(x.data() + r * cols, bias.data(), pre.data() + r * cols, y.data() + r * cols,
+                    cols);
+    }
+  });
+  row("gelu_bwd_f32", [&] { ok::gelu_backward(x.data(), dy.data(), y.data(), n, false); });
+  row("tanh_libm_f32", [&] {
+    for (index_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+  });
   std::printf("\n");
 }
 
@@ -299,6 +340,9 @@ int main() {
                   {"nt", 64, 64, 32},
                   {"nn", 64, 32, 64}},
                  json);
+
+  // GELU at the per-rank fc1 shape of train_2d_large, against libm tanh.
+  run_activation_suite(json);
 
   const optimus::obs::Json host = optimus::bench::fingerprint();
   json.write("BENCH_kernels.json", &host);

@@ -25,7 +25,7 @@ namespace ot = optimus::tensor;
 int main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   const int ranks = cli.get_int("ranks", 4);
-  const int steps = cli.get_int("steps", 150);
+  const int steps = cli.get_int("steps", 150, /*min_value=*/1);
   const int tokens = cli.get_int("tokens", 32);  // per rank
   om::MoeConfig cfg;
   cfg.num_experts = cli.get_int("experts", 8);

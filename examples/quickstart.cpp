@@ -41,8 +41,8 @@ namespace ort = optimus::runtime;
 
 int main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
-  const int steps = cli.get_int("steps", 80);
-  const int q = cli.get_int("q", 2);
+  const int steps = cli.get_int("steps", 80, /*min_value=*/1);
+  const int q = cli.get_int("q", 2, /*min_value=*/1);
   const double lr = cli.get_double("lr", 3e-3);
   const std::string trace_out = cli.get_string("trace-out", "");
   const std::string metrics_out = cli.get_string("metrics-out", "");

@@ -65,7 +65,7 @@ double accuracy(const ot::Tensor& logits, const ot::ITensor& labels) {
 
 int main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
-  const int steps = cli.get_int("steps", 200);
+  const int steps = cli.get_int("steps", 200, /*min_value=*/1);
   const int q = cli.get_int("q", 2);
   const int classes = cli.get_int("classes", 2);
   const double purity = cli.get_double("purity", 0.9);

@@ -228,7 +228,7 @@ void run_optimus(const ort::CharCorpus& corpus, int steps, int gen_chars, double
 int main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   const std::string engine = cli.get_string("engine", "optimus");
-  const int steps = cli.get_int("steps", 300);
+  const int steps = cli.get_int("steps", 300, /*min_value=*/1);
   const int gen_chars = cli.get_int("gen-chars", 120);
   const double temperature = cli.get_double("temperature", 0.0);
   const std::string prompt = cli.get_string("prompt", "the ");

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "kernel/activation.hpp"
 #include "kernel/thread_pool.hpp"
 
 namespace optimus::kernel {
@@ -258,11 +259,7 @@ void apply_epilogue_block(const EpilogueArgs<T>& ep, T* C, index_t ldc, index_t 
       for (index_t i = 0; i < mr; ++i) {
         T* c = C + i * ldc;
         T* pre = ep.pre != nullptr ? ep.pre + (gi + i) * ep.ldp + gj : nullptr;
-        for (index_t j = 0; j < nr; ++j) {
-          const T v = c[j] + bias[j];
-          if (pre != nullptr) pre[j] = v;
-          c[j] = gelu_scalar(v);
-        }
+        bias_gelu(c, bias, pre, c, nr);
       }
       return;
     }
@@ -489,24 +486,6 @@ void gemm(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t
           index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta) {
   gemm_ex(C, A, B, m, n, k, lda, ldb, ldc, trans_a, trans_b, alpha, beta, EpilogueArgs<T>{});
 }
-
-// Single non-inlinable definition of the GELU scalar (see gemm.hpp): keeps
-// every caller — this TU's fused epilogue included — on one bit pattern even
-// though this TU is built with -march=native FP contraction.
-namespace {
-template <typename T>
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-T gelu_scalar_impl(T x) {
-  const T c = T{0.7978845608028654};  // sqrt(2/pi)
-  const T inner = c * (x + T{0.044715} * x * x * x);
-  return T{0.5} * x * (T{1} + std::tanh(inner));
-}
-}  // namespace
-
-float gelu_scalar(float x) { return gelu_scalar_impl(x); }
-double gelu_scalar(double x) { return gelu_scalar_impl(x); }
 
 #define OPTIMUS_INSTANTIATE_KERNEL_GEMM(T)                                                   \
   template void gemm<T>(T*, const T*, const T*, index_t, index_t, index_t, index_t, index_t, \

@@ -42,21 +42,12 @@ using index_t = std::int64_t;
 
 enum class Trans : std::uint8_t { No, Yes };
 
-/// GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
-/// Deliberately out-of-line with exactly one definition (gemm.cpp, marked
-/// non-inlinable): the kernel TU is built with -march=native where FP
-/// contraction may fuse the polynomial differently than portable TUs, so an
-/// inline template would give each caller its own bit pattern. One shared
-/// symbol keeps tensor ops, the fused GEMM epilogue, and tests bitwise
-/// identical.
-float gelu_scalar(float x);
-double gelu_scalar(double x);
-
 /// Fused elementwise tails applied per C tile after its final K panel.
 enum class Epilogue : std::uint8_t {
   None,         ///< plain GEMM
   BiasAdd,      ///< C[i,j] += bias[j]
-  BiasGelu,     ///< v = C[i,j] + bias[j]; pre[i,j] = v (if given); C[i,j] = gelu(v)
+  BiasGelu,     ///< v = C[i,j] + bias[j]; pre[i,j] = v (if given); C[i,j] = gelu(v),
+                ///< by kernel::bias_gelu (activation.hpp) per tile row
   ResidualAdd,  ///< C[i,j] = (C[i,j] + bias[j]) + residual[i,j]  (bias optional)
 };
 

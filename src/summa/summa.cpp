@@ -146,17 +146,15 @@ void land(TensorT<T>& C, const TensorT<T>& src, bool accumulate) {
 
 /// Tree-reduces the per-depth C partials to depth layer 0, applies the
 /// accumulate semantics there, and broadcasts the finished block back down the
-/// depth group so every replica ends bitwise identical. Reuses the chunked
-/// non-blocking collectives (issue + immediate wait).
+/// depth group so every replica ends bitwise identical. Both collectives are
+/// blocking: nothing overlaps them, so their modelled time is transfer.
 template <typename T>
 void depth_fold(mesh::Mesh2D& mesh, TensorT<T>& partial, TensorT<T>& C, TensorT<T>& scratch,
                 bool accumulate) {
   comm::Communicator& dc = mesh.depth_comm();
-  comm::Request red = dc.ireduce(partial.data(), partial.numel(), /*root=*/0, scratch.data());
-  red.wait();
+  dc.reduce(partial.data(), partial.numel(), /*root=*/0, scratch.data());
   if (mesh.depth_idx() == 0) land(C, partial, accumulate);
-  comm::Request bc = dc.ibroadcast(C.data(), C.numel(), /*root=*/0);
-  bc.wait();
+  dc.broadcast(C.data(), C.numel(), /*root=*/0);
 }
 
 /// Checks that the contraction extent `k` splits over the mesh depth and

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "kernel/activation.hpp"
 #include "kernel/gemm.hpp"
 #include "obs/trace.hpp"
 #include "tensor/parallel.hpp"
@@ -187,12 +188,7 @@ void epilogue_reference(const kernel::EpilogueArgs<T>& ep, T* C, index_t ldc, in
     case kernel::Epilogue::BiasGelu:
       for (index_t i = 0; i < m; ++i) {
         T* c = C + i * ldc;
-        T* pre = ep.pre + i * ep.ldp;
-        for (index_t j = 0; j < n; ++j) {
-          const T v = c[j] + ep.bias[j];
-          pre[j] = v;
-          c[j] = kernel::gelu_scalar(v);
-        }
+        kernel::bias_gelu(c, ep.bias, ep.pre + i * ep.ldp, c, n);
       }
       return;
     case kernel::Epilogue::ResidualAdd:
@@ -408,35 +404,10 @@ void bias_gelu_(TensorT<T>& x, const TensorT<T>& bias, TensorT<T>& y) {
   T* yp = y.data();
   parallel_rows(rows, cols, [&](index_t r0, index_t r1) {
     for (index_t r = r0; r < r1; ++r) {
-      T* xrow = xp + r * cols;
-      T* yrow = yp + r * cols;
-      for (index_t j = 0; j < cols; ++j) {
-        const T v = xrow[j] + bp[j];
-        xrow[j] = v;
-        yrow[j] = kernel::gelu_scalar(v);
-      }
+      kernel::bias_gelu(xp + r * cols, bp, xp + r * cols, yp + r * cols, cols);
     }
   });
 }
-
-namespace {
-
-// Forward GELU lives in kernel/gemm.hpp (kernel::gelu_scalar) so the fused
-// GEMM epilogue and this layer are the same scalar function; only the
-// derivative is local.
-using kernel::gelu_scalar;
-
-template <typename T>
-inline T gelu_grad_scalar(T x) {
-  const T c = T{0.7978845608028654};
-  const T x3 = x * x * x;
-  const T inner = c * (x + T{0.044715} * x3);
-  const T t = std::tanh(inner);
-  const T dinner = c * (T{1} + T{3} * T{0.044715} * x * x);
-  return T{0.5} * (T{1} + t) + T{0.5} * x * (T{1} - t * t) * dinner;
-}
-
-}  // namespace
 
 template <typename T>
 void gelu_forward(const TensorT<T>& x, TensorT<T>& y) {
@@ -444,7 +415,7 @@ void gelu_forward(const TensorT<T>& x, TensorT<T>& y) {
   const T* xp = x.data();
   T* yp = y.data();
   parallel_for(x.numel(), kElemGrain, [&](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) yp[i] = gelu_scalar(xp[i]);
+    kernel::bias_gelu<T>(xp + i0, nullptr, nullptr, yp + i0, i1 - i0);
   });
 }
 
@@ -455,11 +426,7 @@ void gelu_backward(const TensorT<T>& x, const TensorT<T>& dy, TensorT<T>& dx, bo
   const T* dyp = dy.data();
   T* dxp = dx.data();
   parallel_for(x.numel(), kElemGrain, [&](index_t i0, index_t i1) {
-    if (accumulate) {
-      for (index_t i = i0; i < i1; ++i) dxp[i] += gelu_grad_scalar(xp[i]) * dyp[i];
-    } else {
-      for (index_t i = i0; i < i1; ++i) dxp[i] = gelu_grad_scalar(xp[i]) * dyp[i];
-    }
+    kernel::gelu_backward(xp + i0, dyp + i0, dxp + i0, i1 - i0, accumulate);
   });
 }
 

@@ -132,7 +132,7 @@ template <typename T>
 void bias_gelu_(TensorT<T>& x, const TensorT<T>& bias, TensorT<T>& y);
 
 // ---------------------------------------------------------------------------
-// GELU (tanh approximation, as in GPT/Megatron)
+// GELU (tanh approximation, as in GPT/Megatron; defined in kernel/activation.hpp)
 // ---------------------------------------------------------------------------
 
 template <typename T>

@@ -350,7 +350,7 @@ TEST(Fault, PoisonedDepthReduceAbortsCleanlyNamingTheOp) {
   } catch (const oc::FaultError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("poisoned payload"), std::string::npos) << what;
-    EXPECT_NE(what.find("ireduce"), std::string::npos)
+    EXPECT_NE(what.find("in op 'reduce'"), std::string::npos)
         << "diagnostic does not name the depth reduce: " << what;
   }
 }
@@ -399,11 +399,11 @@ TEST(Fault, PoisonedDepthReduceLeavesDeterministicPostmortems) {
   const std::string prefix_a = ::testing::TempDir() + "postmortem_depth_a";
   run_dumping(prefix_a);
   // Rank 0 is the depth-fold root: its first (and only) receive is the
-  // poisoned tree-reduce leg, which the issue-then-wait collective surfaces
-  // at the wait — the dump must blame the depth reduce.
+  // poisoned tree-reduce leg of the blocking depth reduce — the dump must
+  // blame it.
   const ob::Json dump0 = ob::Json::parse(slurp(prefix_a + ".rank0.json"));
   EXPECT_EQ(dump0.get("rank").as_number(), 0.0);
-  EXPECT_EQ(dump0.get("abort_op").as_string(), "ireduce.wait");
+  EXPECT_EQ(dump0.get("abort_op").as_string(), "reduce");
   EXPECT_GT(dump0.get("events_seen").as_number(), 0.0);
 
   // Same seed, fresh run: each rank's dump must replay byte-identically.

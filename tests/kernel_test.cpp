@@ -15,9 +15,11 @@
 #include <tuple>
 #include <vector>
 
+#include "kernel/activation.hpp"
 #include "kernel/gemm.hpp"
 #include "kernel/thread_pool.hpp"
 #include "tensor/ops.hpp"
+#include "testing/ulp.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -418,28 +420,246 @@ TEST(KernelGemm, BetaZeroStoresOverNaN) {
 }
 
 TEST(KernelRowOps, DeterministicAcrossThreadCounts) {
-  // A row-parallel kernel (softmax) and a column-parallel reduction
-  // (bias_grad) must both be bitwise thread-count independent.
+  // Row-parallel kernels (softmax, bias+GELU), a column-parallel reduction
+  // (bias_grad) and the chunked GELU backward must all be bitwise
+  // thread-count independent. GELU chunks start at arbitrary offsets, so this
+  // also moves elements between the vector body and the scalar remainder.
   using optimus::tensor::Shape;
   using optimus::tensor::TensorT;
   const index_t rows = 97, cols = 201;
   TensorT<float> x(Shape{rows, cols});
+  TensorT<float> bias(Shape{cols});
   optimus::util::Rng rng(3);
   for (index_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.uniform(-4, 4));
+  for (index_t i = 0; i < cols; ++i) bias[i] = static_cast<float>(rng.uniform(-1, 1));
 
-  TensorT<float> y1(Shape{rows, cols}), y4(Shape{rows, cols});
-  TensorT<float> g1(Shape{cols}), g4(Shape{cols});
+  struct Out {
+    TensorT<float> y, g, pre, act, dx;
+  };
+  const auto run = [&](int threads) {
+    Out o{TensorT<float>(Shape{rows, cols}), TensorT<float>(Shape{cols}), x.clone(),
+          TensorT<float>(Shape{rows, cols}), TensorT<float>(Shape{rows, cols})};
+    ok::set_threads(threads);
+    ops::softmax_lastdim(x, o.y);
+    ops::bias_grad(x, o.g, /*accumulate=*/false);
+    ops::bias_gelu_(o.pre, bias, o.act);
+    ops::gelu_backward(o.pre, x, o.dx, /*accumulate=*/false);
+    ok::set_threads(0);
+    return o;
+  };
+  const Out base = run(1);
+  for (int t = 2; t <= 4; ++t) {
+    const Out o = run(t);
+    const auto same = [](const TensorT<float>& a, const TensorT<float>& b) {
+      return std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+    };
+    EXPECT_TRUE(same(base.y, o.y)) << "softmax, threads " << t;
+    EXPECT_TRUE(same(base.g, o.g)) << "bias_grad, threads " << t;
+    EXPECT_TRUE(same(base.pre, o.pre)) << "bias_gelu_ pre, threads " << t;
+    EXPECT_TRUE(same(base.act, o.act)) << "bias_gelu_ out, threads " << t;
+    EXPECT_TRUE(same(base.dx, o.dx)) << "gelu_backward, threads " << t;
+  }
+}
 
-  ok::set_threads(1);
-  ops::softmax_lastdim(x, y1);
-  ops::bias_grad(x, g1, /*accumulate=*/false);
-  ok::set_threads(4);
-  ops::softmax_lastdim(x, y4);
-  ops::bias_grad(x, g4, /*accumulate=*/false);
-  ok::set_threads(0);
+// ---- GELU and its owned f32 tanh (kernel/activation.hpp) ----
 
-  EXPECT_EQ(0, std::memcmp(y1.data(), y4.data(), sizeof(float) * y1.numel()));
-  EXPECT_EQ(0, std::memcmp(g1.data(), g4.data(), sizeof(float) * g1.numel()));
+// The f32 body is 16 lanes wide; lengths up to 2·16 + 1 give every mix of
+// vector body and scalar remainder.
+constexpr index_t kMaxActivationN = 33;
+// ULP bound of tanh_f32 against the correctly rounded tanh (activation.hpp).
+constexpr std::uint64_t kTanhMaxUlps = 7;
+
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+std::uint64_t tanh_ulps(float x) {
+  const float want = static_cast<float>(std::tanh(static_cast<double>(x)));
+  return optimus::testing::ulp_distance(ok::tanh_f32(x), want);
+}
+
+// Inputs over ±12: the pass-through band, the rational band and the clamp.
+template <typename T>
+std::vector<T> activation_inputs(index_t n, std::uint64_t seed) {
+  std::vector<T> v = random_buffer<T>(n, seed);
+  for (T& x : v) x *= T{12};
+  return v;
+}
+
+// bias_gelu on [off, off + n) of each buffer must give, element for element,
+// the bits of gelu_scalar — out of place, in place (as the fused epilogue
+// calls it) and without a bias (as gelu_forward calls it) — and write nothing
+// past n.
+template <typename T>
+void check_bias_gelu_paths() {
+  const T guard = T{-7};
+  for (index_t n = 1; n <= kMaxActivationN; ++n) {
+    for (index_t off = 0; off < 4; ++off) {
+      const index_t len = off + n + 1;
+      const std::vector<T> v = activation_inputs<T>(len, 100 + n);
+      const std::vector<T> bias = random_buffer<T>(len, 200 + n);
+      std::vector<T> pre(len, guard), y(len, guard), nobias(len, guard);
+      std::vector<T> inplace = v;
+      ok::bias_gelu(v.data() + off, bias.data() + off, pre.data() + off, y.data() + off, n);
+      ok::bias_gelu(inplace.data() + off, bias.data() + off, inplace.data() + off,
+                    inplace.data() + off, n);
+      ok::bias_gelu<T>(v.data() + off, nullptr, nullptr, nobias.data() + off, n);
+      for (index_t j = off; j < off + n; ++j) {
+        const T u = v[j] + bias[j];
+        ASSERT_TRUE(same_bits(pre[j], u)) << "n=" << n << " off=" << off << " j=" << j;
+        ASSERT_TRUE(same_bits(y[j], ok::gelu_scalar(u))) << "n=" << n << " off=" << off;
+        ASSERT_TRUE(same_bits(inplace[j], ok::gelu_scalar(u))) << "n=" << n << " off=" << off;
+        ASSERT_TRUE(same_bits(nobias[j], ok::gelu_scalar(v[j]))) << "n=" << n << " off=" << off;
+      }
+      EXPECT_EQ(y[off + n], guard);
+      EXPECT_EQ(pre[off + n], guard);
+      EXPECT_EQ(nobias[off + n], guard);
+    }
+  }
+}
+
+// gelu_backward on [off, off + n) must give each element the bits of the
+// one-element call, with and without accumulation, and write nothing else.
+template <typename T>
+void check_gelu_backward_paths() {
+  for (index_t n = 1; n <= kMaxActivationN; ++n) {
+    for (index_t off = 0; off < 4; ++off) {
+      const index_t len = off + n + 1;
+      const std::vector<T> x = activation_inputs<T>(len, 300 + n);
+      const std::vector<T> dy = random_buffer<T>(len, 400 + n);
+      const std::vector<T> dx0 = random_buffer<T>(len, 500 + n);
+      for (bool acc : {false, true}) {
+        std::vector<T> dx = dx0;
+        ok::gelu_backward(x.data() + off, dy.data() + off, dx.data() + off, n, acc);
+        for (index_t j = 0; j < len; ++j) {
+          T want = dx0[j];
+          if (j >= off && j < off + n) ok::gelu_backward(&x[j], &dy[j], &want, 1, acc);
+          ASSERT_TRUE(same_bits(dx[j], want))
+              << "n=" << n << " off=" << off << " j=" << j << " accumulate=" << acc;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelActivation, ArrayMatchesScalarAtEveryLengthAndOffsetF32) {
+  check_bias_gelu_paths<float>();
+  check_gelu_backward_paths<float>();
+}
+
+TEST(KernelActivation, ArrayMatchesScalarAtEveryLengthAndOffsetF64) {
+  check_bias_gelu_paths<double>();
+  check_gelu_backward_paths<double>();
+}
+
+TEST(KernelActivation, TanhSpecialInputs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float cutoff = 4e-4f, clamp = 9.0f;
+  EXPECT_TRUE(same_bits(ok::tanh_f32(0.0f), 0.0f));
+  EXPECT_TRUE(same_bits(ok::tanh_f32(-0.0f), -0.0f));
+  EXPECT_EQ(ok::tanh_f32(inf), 1.0f);
+  EXPECT_EQ(ok::tanh_f32(-inf), -1.0f);
+  EXPECT_TRUE(std::isnan(ok::tanh_f32(std::numeric_limits<float>::quiet_NaN())));
+  // Subnormals and everything below the cutoff pass through unchanged.
+  const float passthrough[] = {std::numeric_limits<float>::denorm_min(),
+                               std::nextafter(std::numeric_limits<float>::min(), 0.0f),
+                               std::numeric_limits<float>::min(),
+                               std::nextafter(cutoff, 0.0f)};
+  for (float x : passthrough) {
+    EXPECT_TRUE(same_bits(ok::tanh_f32(x), x)) << x;
+    EXPECT_TRUE(same_bits(ok::tanh_f32(-x), -x)) << -x;
+  }
+  // Either side of the cutoff and of the clamp: within the bound, |tanh| ≤ 1.
+  const float edges[] = {std::nextafter(cutoff, 0.0f), cutoff, std::nextafter(cutoff, 1.0f),
+                         std::nextafter(clamp, 0.0f),  clamp,  std::nextafter(clamp, inf)};
+  for (float x : edges) {
+    EXPECT_LE(tanh_ulps(x), kTanhMaxUlps) << x;
+    EXPECT_LE(tanh_ulps(-x), kTanhMaxUlps) << -x;
+    EXPECT_LE(std::fabs(ok::tanh_f32(x)), 1.0f) << x;
+  }
+  // At and past the clamp the result is exactly ±1.
+  for (float x : {clamp, std::nextafter(clamp, inf), 1e30f, std::numeric_limits<float>::max()}) {
+    EXPECT_EQ(ok::tanh_f32(x), 1.0f) << x;
+    EXPECT_EQ(ok::tanh_f32(-x), -1.0f) << -x;
+  }
+}
+
+TEST(KernelActivation, GeluSpecialInputsSameOnEveryPath) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float big = std::numeric_limits<float>::max();
+  EXPECT_TRUE(same_bits(ok::gelu_scalar(0.0f), 0.0f));
+  EXPECT_TRUE(same_bits(ok::gelu_scalar(-0.0f), -0.0f));
+  EXPECT_EQ(ok::gelu_scalar(inf), inf);
+  EXPECT_EQ(ok::gelu_scalar(big), big);
+  EXPECT_EQ(ok::gelu_scalar(-1e30f), 0.0f);  // tanh saturates to exactly −1
+  EXPECT_EQ(ok::gelu_scalar(-20.0f), 0.0f);
+  EXPECT_TRUE(std::isnan(ok::gelu_scalar(nan)));
+  const float dn = std::numeric_limits<float>::denorm_min();
+  EXPECT_LE(std::fabs(ok::gelu_scalar(dn)), dn);
+  EXPECT_LE(std::fabs(ok::gelu_scalar(-dn)), dn);
+  float one = 1.0f, g = 0.0f;
+  ok::gelu_backward(&one, &one, &g, 1, false);
+  EXPECT_NEAR(g, 1.082964f, 1e-5f);  // d/dx gelu at 1
+  const float zero = 0.0f;
+  ok::gelu_backward(&zero, &one, &g, 1, false);
+  EXPECT_EQ(g, 0.5f);
+  const float far = 1e3f;
+  ok::gelu_backward(&far, &one, &g, 1, false);
+  EXPECT_EQ(g, 1.0f);
+  const float neg_far = -1e3f;
+  ok::gelu_backward(&neg_far, &one, &g, 1, false);
+  EXPECT_EQ(g, 0.0f);
+
+  // Every special input, at every position of a 2·16 + 1 row: same bits as
+  // the scalar (NaN as NaN) forward and backward.
+  const float specials[] = {0.0f,  -0.0f, inf,   -inf,  nan,   big,   -big,    dn,
+                            -dn,   4e-4f, -4e-4f, 9.0f, -9.0f, 1e30f, -1e30f, 1.0f};
+  const index_t n = kMaxActivationN;
+  for (float s : specials) {
+    for (index_t pos = 0; pos < n; ++pos) {
+      std::vector<float> x = activation_inputs<float>(n, 7);
+      x[pos] = s;
+      const std::vector<float> dy(static_cast<std::size_t>(n), 1.0f);
+      std::vector<float> y(static_cast<std::size_t>(n)), dx(static_cast<std::size_t>(n));
+      ok::bias_gelu<float>(x.data(), nullptr, nullptr, y.data(), n);
+      ok::gelu_backward(x.data(), dy.data(), dx.data(), n, false);
+      float dx1 = 0.0f;
+      ok::gelu_backward(&x[pos], &dy[pos], &dx1, 1, false);
+      const float y1 = ok::gelu_scalar(s);
+      if (std::isnan(y1)) {
+        EXPECT_TRUE(std::isnan(y[pos])) << s << " at " << pos;
+      } else {
+        EXPECT_TRUE(same_bits(y[pos], y1)) << s << " at " << pos;
+      }
+      if (std::isnan(dx1)) {
+        EXPECT_TRUE(std::isnan(dx[pos])) << s << " at " << pos;
+      } else {
+        EXPECT_TRUE(same_bits(dx[pos], dx1)) << s << " at " << pos;
+      }
+    }
+  }
+}
+
+TEST(KernelActivation, TanhWithinUlpBoundOnStridedSweep) {
+  // Every 4093rd bit pattern (≈1.05M inputs, every exponent) against the
+  // correctly rounded tanh; the exhaustive sweep of the rational band is the
+  // slow-label activation_sweep_test.
+  std::uint64_t worst = 0;
+  float worst_x = 0.0f;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4093) {
+    const auto bits = static_cast<std::uint32_t>(u);
+    float x;
+    std::memcpy(&x, &bits, sizeof(x));
+    if (std::isnan(x)) continue;
+    const std::uint64_t d = tanh_ulps(x);
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, kTanhMaxUlps) << "at x = " << worst_x;
 }
 
 TEST(KernelThreadBudget, SharedWithDevices) {

@@ -341,18 +341,26 @@ TEST(SummaPipeline, AllFormsBitwiseIdenticalToBlocking) {
 }
 
 TEST(SummaPipeline, BlockingScheduleBucketsCollectiveTimeAsTransfer) {
-  // Under the blocking schedule on a 2D mesh every collective entry aligns
-  // (align_wait) and then advances by exactly its modelled dt (transfer), so
-  // a rank's transfer bucket is the sum of its broadcast and reduce times.
+  // Under the blocking schedule every collective entry aligns (align_wait)
+  // and then advances by exactly its modelled dt (transfer), so a rank's
+  // transfer bucket is the sum of its broadcast and reduce times. That holds
+  // on q×q×d meshes too: the depth fold's reduce and broadcast are blocking.
   // The bucket adds the dts in call order and the stats per op kind, so the
   // interleaved reduce forms may differ in the last bits.
-  const ot::index_t mb = 2, kb = 3, nb = 4;
-  for (int q : {2, 3, 4}) {
+  struct MeshCase {
+    int q, d;
+    ot::index_t mb, kb, nb;  // at d > 1, multiples of d so each contraction splits
+  };
+  const MeshCase cases[] = {{2, 1, 2, 3, 4}, {3, 1, 2, 3, 4}, {4, 1, 2, 3, 4},
+                            {2, 2, 4, 8, 12}, {1, 4, 4, 8, 12}};
+  for (const MeshCase& mc : cases) {
+    const int q = mc.q, d = mc.d;
+    const ot::index_t mb = mc.mb, kb = mc.kb, nb = mc.nb;
     for (const char* form : {"ab", "abt", "atb"}) {
       const std::string f = form;
-      const auto report = oc::run_cluster(q * q, [&](oc::Context& ctx) {
+      const auto report = oc::run_cluster(q * q * d, [&](oc::Context& ctx) {
         os::PipelineGuard guard(false);
-        om::Mesh2D mesh(ctx.world);
+        om::Mesh2D mesh(ctx.world, d);
         if (f == "ab") {
           DTensor A = DTensor::zeros(Shape{mb, kb});
           DTensor B = DTensor::zeros(Shape{kb, nb});
@@ -372,11 +380,13 @@ TEST(SummaPipeline, BlockingScheduleBucketsCollectiveTimeAsTransfer) {
       });
       for (std::size_t r = 0; r < report.ranks.size(); ++r) {
         const auto& rank = report.ranks[r];
-        EXPECT_GT(rank.util.transfer, 0.0) << f << " q=" << q << " rank " << r;
+        EXPECT_GT(rank.util.transfer, 0.0) << f << " q=" << q << " d=" << d << " rank " << r;
         EXPECT_DOUBLE_EQ(rank.util.transfer,
                          rank.stats.broadcast.time + rank.stats.reduce.time)
-            << f << " q=" << q << " rank " << r;
-        if (f == "ab") {
+            << f << " q=" << q << " d=" << d << " rank " << r;
+        if (d > 1) {
+          EXPECT_GT(rank.stats.reduce.time, 0.0) << f << " q=" << q << " d=" << d << " rank " << r;
+        } else if (f == "ab") {
           EXPECT_EQ(rank.util.transfer, rank.stats.broadcast.time) << "q=" << q << " rank " << r;
         }
       }

@@ -159,13 +159,43 @@ TEST(Cli, BareBooleanFlag) {
   cli.finish();
 }
 
+// A bad command line ends the program with the usage line on stderr and
+// exit status 2, never an uncaught exception.
 TEST(Cli, UnknownFlagRejectedByFinish) {
   auto cli = make_cli({"prog", "--oops=1"});
-  EXPECT_THROW(cli.finish(), ou::CheckError);
+  cli.get_int("steps", 7);
+  EXPECT_EXIT(cli.finish(), ::testing::ExitedWithCode(2),
+              "unknown flag --oops=1\nusage: prog \\[--steps=7\\]");
 }
 
 TEST(Cli, NonFlagArgumentRejected) {
-  EXPECT_THROW(make_cli({"prog", "positional"}), ou::CheckError);
+  EXPECT_EXIT(make_cli({"prog", "positional"}), ::testing::ExitedWithCode(2),
+              "expected --flag, got 'positional'\nusage: prog");
+}
+
+TEST(Cli, MalformedNumberExitsWithUsage) {
+  EXPECT_EXIT(make_cli({"prog", "--steps=12x"}).get_int("steps", 7),
+              ::testing::ExitedWithCode(2), "--steps expects an integer, got '12x'\nusage: prog");
+  EXPECT_EXIT(make_cli({"prog", "--lr", "fast"}).get_double("lr", 0.5),
+              ::testing::ExitedWithCode(2), "--lr expects a number, got 'fast'\nusage: prog");
+  EXPECT_EXIT(make_cli({"prog", "--steps=99999999999"}).get_int("steps", 7),
+              ::testing::ExitedWithCode(2), "--steps must be in");
+}
+
+TEST(Cli, BelowMinimumExitsWithUsage) {
+  auto cli = make_cli({"prog", "--steps=-3"});
+  EXPECT_EXIT(cli.get_int("steps", 80, /*min_value=*/1), ::testing::ExitedWithCode(2),
+              "--steps must be in \\[1, 2147483647\\], got -3\nusage: prog");
+  EXPECT_EQ(make_cli({"prog", "--steps=1"}).get_int("steps", 80, /*min_value=*/1), 1);
+}
+
+TEST(Cli, HelpPrintsUsageOfEveryFlagAndExits) {
+  auto cli = make_cli({"prog", "--help"});
+  cli.get_int("steps", 80);
+  cli.get_double("lr", 0.003);
+  cli.get_string("out", "");
+  EXPECT_EXIT(cli.finish(), ::testing::ExitedWithCode(2),
+              "^usage: prog \\[--steps=80\\] \\[--lr=0.003\\] \\[--out=\"\"\\]\n$");
 }
 
 TEST(Table, AlignsColumnsAndCountsRows) {
